@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -325,11 +326,11 @@ func TestBatchRejectsNesting(t *testing.T) {
 // expects ErrCorrupt.
 func TestBatchDecodeRejectsNesting(t *testing.T) {
 	inner := Marshal(Batch{Msgs: []Message{UpdateAck{Count: 1}}})
-	e := encoder{b: []byte{uint8(KindBatch)}}
-	e.u32(1)
-	e.u32(uint32(len(inner)))
-	e.b = append(e.b, inner...)
-	if _, err := Unmarshal(e.b); err == nil {
+	b := []byte{uint8(KindBatch)}
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(inner)))
+	b = append(b, inner...)
+	if _, err := Unmarshal(b); err == nil {
 		t.Error("Unmarshal accepted a nested batch")
 	}
 }

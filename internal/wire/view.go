@@ -5,85 +5,22 @@ package wire
 // until the buffer is released back to the pool. A handler that retains
 // payload bytes past its dispatch (a reply parked on a future, an update
 // entry stashed for a fetch in flight) re-owns exactly what it keeps.
-
-// ownBytes deep-copies a possibly-borrowed byte slice (nil stays nil).
-func ownBytes(b []byte) []byte {
-	if b == nil {
-		return nil
-	}
-	return append([]byte(nil), b...)
-}
+// Both walk the same field list as the codec, so a kind cannot carry a
+// byte payload that Own forgets to copy.
 
 // OwnEntry returns u with its payload (Diff or Full) deep-copied, safe
 // to retain after the envelope it was decoded from is released.
 func OwnEntry(u UpdateEntry) UpdateEntry {
-	u.Diff = ownBytes(u.Diff)
-	u.Full = ownBytes(u.Full)
+	c := codec{mode: owning}
+	u.walk(&c)
 	return u
 }
 
-func ownEntries(us []UpdateEntry) []UpdateEntry {
-	for i := range us {
-		us[i] = OwnEntry(us[i])
-	}
-	return us
-}
-
-func ownRecords(rs []LrcRecord) []LrcRecord {
-	for i := range rs {
-		rs[i].Diff = ownBytes(rs[i].Diff)
-		rs[i].Full = ownBytes(rs[i].Full)
-	}
-	return rs
-}
-
-// Own returns msg with every borrowed byte payload deep-copied. Messages
-// without byte payloads pass through unchanged; a Batch re-owns each
-// rider. The entry/record slices themselves are decoder-allocated (never
-// borrowed), so they are rewritten in place.
+// Own returns a copy of msg with every borrowed byte payload deep-copied;
+// a Batch re-owns each rider. The entry and record slices themselves are
+// decoder-allocated (never borrowed), so their elements are rewritten in
+// place.
 func Own(msg Message) Message {
-	switch m := msg.(type) {
-	case ReadReply:
-		m.Data = ownBytes(m.Data)
-		return m
-	case OwnReply:
-		m.Data = ownBytes(m.Data)
-		return m
-	case MigrateReply:
-		m.Data = ownBytes(m.Data)
-		return m
-	case UpdateBatch:
-		m.Entries = ownEntries(m.Entries)
-		return m
-	case LockGrant:
-		m.Updates = ownEntries(m.Updates)
-		return m
-	case LrcLockGrant:
-		m.Updates = ownEntries(m.Updates)
-		return m
-	case BarrierRelease:
-		m.Subtree = append([]uint8(nil), m.Subtree...)
-		return m
-	case LrcBarrierRelease:
-		m.Subtree = append([]uint8(nil), m.Subtree...)
-		return m
-	case MPData:
-		m.Payload = ownBytes(m.Payload)
-		return m
-	case LrcDiffResp:
-		for i := range m.Sets {
-			m.Sets[i].Records = ownRecords(m.Sets[i].Records)
-		}
-		return m
-	case LrcFetchResp:
-		m.Data = ownBytes(m.Data)
-		return m
-	case Batch:
-		for i := range m.Msgs {
-			m.Msgs[i] = Own(m.Msgs[i])
-		}
-		return m
-	default:
-		return msg
-	}
+	c := codec{mode: owning}
+	return c.message(msg)
 }

@@ -3,14 +3,14 @@
 //
 // The prototype ran over V-kernel messages on a 10 Mbps Ethernet; the
 // network model charges wire time per encoded byte, so every message here
-// has an honest binary form (encoding/binary, little-endian). The codec
-// is allocation-free on the hot path: AppendTo encodes into a
-// caller-owned (or pooled, see GetBuf/PutBuf) buffer and Size computes
-// the encoded length per message kind without encoding anything — the
-// wire tests hold Size(msg) == len(Marshal(msg)) for every kind over
-// randomized messages. Marshal and Unmarshal are the allocating
-// round-trip wrappers; the simulated network uses the encoded size for
-// timing and delivers the decoded form.
+// has an honest binary form (encoding/binary, little-endian). Each kind
+// states its field layout once, in its walk method; one codec walks it
+// to encode (AppendTo, allocation-free into a caller-owned or pooled
+// buffer, see GetBufN/PutBuf), to size (Size, without encoding), to
+// decode (Unmarshal copies, UnmarshalView borrows) and to re-own a
+// borrowed message (Own). Marshal is the allocating encode wrapper; the
+// simulated network uses the encoded size for timing and delivers the
+// decoded form.
 //
 // Batch is the per-destination coalescing envelope: everything one
 // protocol operation sends to the same node rides one transport send.
@@ -18,10 +18,7 @@
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math/bits"
 
 	"munin/internal/nodeset"
 	"munin/internal/vm"
@@ -81,56 +78,61 @@ const (
 	numKinds
 )
 
-var kindNames = [...]string{
-	KindInvalid:           "invalid",
-	KindReadReq:           "read-req",
-	KindReadReply:         "read-reply",
-	KindOwnReq:            "own-req",
-	KindOwnReply:          "own-reply",
-	KindInvalidate:        "invalidate",
-	KindInvalidateAck:     "invalidate-ack",
-	KindMigrateReq:        "migrate-req",
-	KindMigrateReply:      "migrate-reply",
-	KindUpdateBatch:       "update-batch",
-	KindUpdateAck:         "update-ack",
-	KindCopysetQuery:      "copyset-query",
-	KindCopysetReply:      "copyset-reply",
-	KindReduceReq:         "reduce-req",
-	KindReduceReply:       "reduce-reply",
-	KindLockAcq:           "lock-acq",
-	KindLockSetSucc:       "lock-set-succ",
-	KindLockGrant:         "lock-grant",
-	KindBarrierArrive:     "barrier-arrive",
-	KindBarrierRelease:    "barrier-release",
-	KindDirReq:            "dir-req",
-	KindDirReply:          "dir-reply",
-	KindPhaseChange:       "phase-change",
-	KindChangeAnnot:       "change-annot",
-	KindCopysetLookup:     "copyset-lookup",
-	KindCopysetInfo:       "copyset-info",
-	KindCopysetNotify:     "copyset-notify",
-	KindOwnNotify:         "own-notify",
-	KindAdaptPropose:      "adapt-propose",
-	KindAdaptCommit:       "adapt-commit",
-	KindMPData:            "mp-data",
-	KindLockOwnNotify:     "lock-own-notify",
-	KindLrcLockAcq:        "lrc-lock-acq",
-	KindLrcLockSetSucc:    "lrc-lock-set-succ",
-	KindLrcLockGrant:      "lrc-lock-grant",
-	KindLrcBarrierArrive:  "lrc-barrier-arrive",
-	KindLrcBarrierRelease: "lrc-barrier-release",
-	KindLrcDiffReq:        "lrc-diff-req",
-	KindLrcDiffResp:       "lrc-diff-resp",
-	KindLrcFetchReq:       "lrc-fetch-req",
-	KindLrcFetchResp:      "lrc-fetch-resp",
-	KindLrcGC:             "lrc-gc",
-	KindBatch:             "batch",
+// kinds gives each kind its trace name and the zero message unmarshal
+// decodes into.
+var kinds = [numKinds]struct {
+	name string
+	zero Message
+}{
+	KindInvalid:           {"invalid", nil},
+	KindReadReq:           {"read-req", ReadReq{}},
+	KindReadReply:         {"read-reply", ReadReply{}},
+	KindOwnReq:            {"own-req", OwnReq{}},
+	KindOwnReply:          {"own-reply", OwnReply{}},
+	KindInvalidate:        {"invalidate", Invalidate{}},
+	KindInvalidateAck:     {"invalidate-ack", InvalidateAck{}},
+	KindMigrateReq:        {"migrate-req", MigrateReq{}},
+	KindMigrateReply:      {"migrate-reply", MigrateReply{}},
+	KindUpdateBatch:       {"update-batch", UpdateBatch{}},
+	KindUpdateAck:         {"update-ack", UpdateAck{}},
+	KindCopysetQuery:      {"copyset-query", CopysetQuery{}},
+	KindCopysetReply:      {"copyset-reply", CopysetReply{}},
+	KindReduceReq:         {"reduce-req", ReduceReq{}},
+	KindReduceReply:       {"reduce-reply", ReduceReply{}},
+	KindLockAcq:           {"lock-acq", LockAcq{}},
+	KindLockSetSucc:       {"lock-set-succ", LockSetSucc{}},
+	KindLockGrant:         {"lock-grant", LockGrant{}},
+	KindBarrierArrive:     {"barrier-arrive", BarrierArrive{}},
+	KindBarrierRelease:    {"barrier-release", BarrierRelease{}},
+	KindDirReq:            {"dir-req", DirReq{}},
+	KindDirReply:          {"dir-reply", DirReply{}},
+	KindPhaseChange:       {"phase-change", PhaseChange{}},
+	KindChangeAnnot:       {"change-annot", ChangeAnnot{}},
+	KindCopysetLookup:     {"copyset-lookup", CopysetLookup{}},
+	KindCopysetInfo:       {"copyset-info", CopysetInfo{}},
+	KindCopysetNotify:     {"copyset-notify", CopysetNotify{}},
+	KindOwnNotify:         {"own-notify", OwnNotify{}},
+	KindAdaptPropose:      {"adapt-propose", AdaptPropose{}},
+	KindAdaptCommit:       {"adapt-commit", AdaptCommit{}},
+	KindMPData:            {"mp-data", MPData{}},
+	KindLockOwnNotify:     {"lock-own-notify", LockOwnNotify{}},
+	KindLrcLockAcq:        {"lrc-lock-acq", LrcLockAcq{}},
+	KindLrcLockSetSucc:    {"lrc-lock-set-succ", LrcLockSetSucc{}},
+	KindLrcLockGrant:      {"lrc-lock-grant", LrcLockGrant{}},
+	KindLrcBarrierArrive:  {"lrc-barrier-arrive", LrcBarrierArrive{}},
+	KindLrcBarrierRelease: {"lrc-barrier-release", LrcBarrierRelease{}},
+	KindLrcDiffReq:        {"lrc-diff-req", LrcDiffReq{}},
+	KindLrcDiffResp:       {"lrc-diff-resp", LrcDiffResp{}},
+	KindLrcFetchReq:       {"lrc-fetch-req", LrcFetchReq{}},
+	KindLrcFetchResp:      {"lrc-fetch-resp", LrcFetchResp{}},
+	KindLrcGC:             {"lrc-gc", LrcGC{}},
+	KindBatch:             {"batch", Batch{}},
 }
 
 // String returns the kind's trace name.
 func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if int(k) < len(kinds) {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -158,6 +160,12 @@ type UpdateEntry struct {
 	Size uint32 // object size in bytes
 	Diff []byte
 	Full []byte
+}
+
+func (u *UpdateEntry) walk(c *codec) {
+	c.addr(&u.Addr)
+	c.u32(&u.Size)
+	c.payload(&u.Full, &u.Diff)
 }
 
 // ReduceOp identifies a Fetch-and-Φ operation on a reduction object.
@@ -200,6 +208,12 @@ type ReadReq struct {
 	Prefetch  bool
 }
 
+func (m *ReadReq) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Requester)
+	c.boolean(&m.Prefetch)
+}
+
 // ReadReply carries a read copy of the object and the identity of the
 // owner (to update the requester's probable-owner hint).
 type ReadReply struct {
@@ -208,10 +222,21 @@ type ReadReply struct {
 	Data  []byte
 }
 
+func (m *ReadReply) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Owner)
+	c.bytes(&m.Data)
+}
+
 // OwnReq asks for ownership plus data (conventional write miss).
 type OwnReq struct {
 	Addr      vm.Addr
 	Requester uint8
+}
+
+func (m *OwnReq) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Requester)
 }
 
 // OwnReply grants ownership: object data plus the copyset the new owner
@@ -225,11 +250,22 @@ type OwnReply struct {
 	Data    []byte
 }
 
+func (m *OwnReply) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.set(&m.Copyset)
+	c.bytes(&m.Data)
+}
+
 // Invalidate tells a node to drop its copy; NewOwner updates the
 // probable-owner hint.
 type Invalidate struct {
 	Addr     vm.Addr
 	NewOwner uint8
+}
+
+func (m *Invalidate) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.NewOwner)
 }
 
 // InvalidateAck acknowledges an Invalidate (the write-miss thread blocks
@@ -238,16 +274,30 @@ type InvalidateAck struct {
 	Addr vm.Addr
 }
 
+func (m *InvalidateAck) walk(c *codec) {
+	c.addr(&m.Addr)
+}
+
 // MigrateReq asks the current holder of a migratory object to move it.
 type MigrateReq struct {
 	Addr      vm.Addr
 	Requester uint8
 }
 
+func (m *MigrateReq) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Requester)
+}
+
 // MigrateReply moves a migratory object with read+write access.
 type MigrateReply struct {
 	Addr vm.Addr
 	Data []byte
+}
+
+func (m *MigrateReply) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.bytes(&m.Data)
 }
 
 // UpdateBatch carries all DUQ entries destined for one node in a single
@@ -261,9 +311,19 @@ type UpdateBatch struct {
 	Entries []UpdateEntry
 }
 
+func (m *UpdateBatch) walk(c *codec) {
+	c.u8(&m.From)
+	c.boolean(&m.NeedAck)
+	c.updates(&m.Entries)
+}
+
 // UpdateAck acknowledges an UpdateBatch.
 type UpdateAck struct {
 	Count uint32
+}
+
+func (m *UpdateAck) walk(c *codec) {
+	c.u32(&m.Count)
 }
 
 // CopysetQuery asks which of the listed objects the destination holds
@@ -273,9 +333,18 @@ type CopysetQuery struct {
 	Addrs []vm.Addr
 }
 
+func (m *CopysetQuery) walk(c *codec) {
+	c.u8(&m.From)
+	c.addrs(&m.Addrs)
+}
+
 // CopysetReply returns the subset of queried objects the sender holds.
 type CopysetReply struct {
 	Addrs []vm.Addr
+}
+
+func (m *CopysetReply) walk(c *codec) {
+	c.addrs(&m.Addrs)
 }
 
 // ReduceReq forwards a Fetch-and-Φ to the reduction object's fixed owner.
@@ -287,10 +356,23 @@ type ReduceReq struct {
 	Requester uint8
 }
 
+func (m *ReduceReq) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u32(&m.Off)
+	c.u8((*uint8)(&m.Op))
+	c.u32(&m.Operand)
+	c.u8(&m.Requester)
+}
+
 // ReduceReply returns the pre-operation value (Fetch-and-Φ semantics).
 type ReduceReply struct {
 	Addr vm.Addr
 	Old  uint32
+}
+
+func (m *ReduceReply) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u32(&m.Old)
 }
 
 // --- Synchronization messages ---
@@ -301,11 +383,21 @@ type LockAcq struct {
 	Requester uint8
 }
 
+func (m *LockAcq) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Requester)
+}
+
 // LockSetSucc tells the distributed queue's current tail to record its
 // successor (each enqueued thread knows only who follows it, §3.4).
 type LockSetSucc struct {
 	Lock uint32
 	Succ uint8
+}
+
+func (m *LockSetSucc) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Succ)
 }
 
 // LockGrant transfers lock ownership, optionally piggybacking the updates
@@ -316,6 +408,12 @@ type LockGrant struct {
 	Lock    uint32
 	Tail    uint8
 	Updates []UpdateEntry
+}
+
+func (m *LockGrant) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Tail)
+	c.updates(&m.Updates)
 }
 
 // LockOwnNotify records a lock ownership transfer at the lock's home
@@ -329,10 +427,20 @@ type LockOwnNotify struct {
 	Owner uint8
 }
 
+func (m *LockOwnNotify) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Owner)
+}
+
 // BarrierArrive reports a thread's arrival at a barrier to its owner node.
 type BarrierArrive struct {
 	Barrier uint32
 	From    uint8
+}
+
+func (m *BarrierArrive) walk(c *codec) {
+	c.u32(&m.Barrier)
+	c.u8(&m.From)
 }
 
 // BarrierRelease resumes threads blocked at a barrier. In the
@@ -350,11 +458,21 @@ type BarrierRelease struct {
 	Subtree []uint8
 }
 
+func (m *BarrierRelease) walk(c *codec) {
+	c.u32(&m.Barrier)
+	c.boolean(&m.Tree)
+	c.bytes(&m.Subtree)
+}
+
 // --- Directory metadata ---
 
 // DirReq fetches an object directory entry from the object's home node.
 type DirReq struct {
 	Addr vm.Addr
+}
+
+func (m *DirReq) walk(c *codec) {
+	c.addr(&m.Addr)
 }
 
 // DirReply returns the static part of a directory entry. Group and Epoch
@@ -372,10 +490,25 @@ type DirReply struct {
 	Epoch uint32
 }
 
+func (m *DirReply) walk(c *codec) {
+	c.boolean(&m.Found)
+	c.addr(&m.Start)
+	c.u32(&m.Size)
+	c.u8(&m.Annot)
+	c.u8(&m.Home)
+	c.u8(&m.Owner)
+	c.addr(&m.Group)
+	c.u32(&m.Epoch)
+}
+
 // PhaseChange purges the accumulated sharing-relationship information for
 // a stable-sharing object (§2.5), so adaptive programs can redistribute.
 type PhaseChange struct {
 	Addr vm.Addr
+}
+
+func (m *PhaseChange) walk(c *codec) {
+	c.addr(&m.Addr)
 }
 
 // ChangeAnnot switches an object's sharing annotation (and hence protocol)
@@ -383,6 +516,11 @@ type PhaseChange struct {
 type ChangeAnnot struct {
 	Addr  vm.Addr
 	Annot uint8
+}
+
+func (m *ChangeAnnot) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Annot)
 }
 
 // CopysetLookup asks an object's home node for the copysets it tracks —
@@ -395,6 +533,11 @@ type CopysetLookup struct {
 	Addrs []vm.Addr
 }
 
+func (m *CopysetLookup) walk(c *codec) {
+	c.u8(&m.From)
+	c.addrs(&m.Addrs)
+}
+
 // CopysetInfo is the home's reply to a CopysetLookup: the tracked
 // copyset for each queried address, in the same order (each in the
 // two-form set encoding).
@@ -403,12 +546,24 @@ type CopysetInfo struct {
 	Sets  []nodeset.Set
 }
 
+func (m *CopysetInfo) walk(c *codec) {
+	c.addrs(&m.Addrs)
+	for i := range list(c, &m.Sets, 8) {
+		c.set(&m.Sets[i])
+	}
+}
+
 // CopysetNotify tells an object's home that Reader obtained a copy from a
 // node other than the home, keeping the home's tracked copyset complete
 // under the exact-copyset algorithm.
 type CopysetNotify struct {
 	Addr   vm.Addr
 	Reader uint8
+}
+
+func (m *CopysetNotify) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Reader)
 }
 
 // OwnNotify tells an object's home node that ownership moved to Owner.
@@ -420,6 +575,11 @@ type CopysetNotify struct {
 type OwnNotify struct {
 	Addr  vm.Addr
 	Owner uint8
+}
+
+func (m *OwnNotify) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Owner)
 }
 
 // --- Adaptive protocol engine (internal/adapt) ---
@@ -443,6 +603,15 @@ type AdaptPropose struct {
 	Urgent bool
 }
 
+func (m *AdaptPropose) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Annot)
+	c.u32(&m.Epoch)
+	c.u8(&m.From)
+	c.u32(&m.Events)
+	c.boolean(&m.Urgent)
+}
+
 // AdaptCommit broadcasts a committed annotation switch from the object's
 // home to every node. Receivers with delayed writes still enqueued defer
 // the switch to their next release flush (directory.Entry.PendingAnnot);
@@ -451,6 +620,12 @@ type AdaptCommit struct {
 	Addr  vm.Addr
 	Annot uint8
 	Epoch uint32
+}
+
+func (m *AdaptCommit) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Annot)
+	c.u32(&m.Epoch)
 }
 
 // --- Lazy release consistency (internal/lrc) ---
@@ -472,6 +647,12 @@ type LrcInterval struct {
 	Addrs []vm.Addr
 }
 
+func (iv *LrcInterval) walk(c *codec) {
+	c.u8(&iv.Node)
+	c.u32(&iv.Ivl)
+	c.addrs(&iv.Addrs)
+}
+
 // LrcRecord is one stored diff: the writes one node made to one object
 // during its closed intervals [First, Last], as a word diff against the
 // twin (Diff) or a full snapshot (Full; currently only post-run
@@ -486,10 +667,24 @@ type LrcRecord struct {
 	Full  []byte
 }
 
+func (r *LrcRecord) walk(c *codec) {
+	c.u32(&r.First)
+	c.u32(&r.Last)
+	c.u32s(&r.VT)
+	c.payload(&r.Full, &r.Diff)
+}
+
 // LrcDiffSet carries one object's records inside an LrcDiffResp.
 type LrcDiffSet struct {
 	Addr    vm.Addr
 	Records []LrcRecord
+}
+
+func (s *LrcDiffSet) walk(c *codec) {
+	c.addr(&s.Addr)
+	for i := range list(c, &s.Records, 1) {
+		s.Records[i].walk(c)
+	}
 }
 
 // LrcLockAcq is LockAcq under the lazy engine: the requester's vector
@@ -501,12 +696,24 @@ type LrcLockAcq struct {
 	VT        []uint32
 }
 
+func (m *LrcLockAcq) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Requester)
+	c.u32s(&m.VT)
+}
+
 // LrcLockSetSucc is LockSetSucc under the lazy engine: the successor's
 // vector timestamp must reach the node that will eventually grant to it.
 type LrcLockSetSucc struct {
 	Lock uint32
 	Succ uint8
 	VT   []uint32
+}
+
+func (m *LrcLockSetSucc) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Succ)
+	c.u32s(&m.VT)
 }
 
 // LrcLockGrant is the acquire-with-notices grant: lock ownership plus the
@@ -522,6 +729,14 @@ type LrcLockGrant struct {
 	Updates []UpdateEntry
 }
 
+func (m *LrcLockGrant) walk(c *codec) {
+	c.u32(&m.Lock)
+	c.u8(&m.Tail)
+	c.u32s(&m.VT)
+	c.intervals(&m.Notices)
+	c.updates(&m.Updates)
+}
+
 // LrcBarrierArrive reports a barrier arrival under the lazy engine,
 // carrying the arriver's vector timestamp, the write notices the barrier
 // master may not have seen, and the arriver's applied floors (per writer:
@@ -533,6 +748,14 @@ type LrcBarrierArrive struct {
 	VT      []uint32
 	Floors  []uint32
 	Notices []LrcInterval
+}
+
+func (m *LrcBarrierArrive) walk(c *codec) {
+	c.u32(&m.Barrier)
+	c.u8(&m.From)
+	c.u32s(&m.VT)
+	c.u32s(&m.Floors)
+	c.intervals(&m.Notices)
 }
 
 // LrcBarrierRelease resumes threads blocked at a barrier under the lazy
@@ -547,6 +770,14 @@ type LrcBarrierRelease struct {
 	Notices []LrcInterval
 }
 
+func (m *LrcBarrierRelease) walk(c *codec) {
+	c.u32(&m.Barrier)
+	c.boolean(&m.Tree)
+	c.bytes(&m.Subtree)
+	c.u32s(&m.VT)
+	c.intervals(&m.Notices)
+}
+
 // LrcDiffReq asks a writer for the diffs of its closed intervals on the
 // listed objects: for Addrs[i], every record with Last > After[i]. The
 // writer materializes pending diffs lazily at this first remote request.
@@ -558,10 +789,24 @@ type LrcDiffReq struct {
 	After     []uint32
 }
 
+func (m *LrcDiffReq) walk(c *codec) {
+	c.u8(&m.Requester)
+	c.u32(&m.Token)
+	c.addrs(&m.Addrs)
+	c.u32s(&m.After)
+}
+
 // LrcDiffResp answers an LrcDiffReq with the requested records per object.
 type LrcDiffResp struct {
 	Token uint32
 	Sets  []LrcDiffSet
+}
+
+func (m *LrcDiffResp) walk(c *codec) {
+	c.u32(&m.Token)
+	for i := range list(c, &m.Sets, 1) {
+		m.Sets[i].walk(c)
+	}
 }
 
 // LrcFetchReq asks an object's home node for a base copy (a node that
@@ -570,6 +815,12 @@ type LrcFetchReq struct {
 	Addr      vm.Addr
 	Requester uint8
 	Token     uint32
+}
+
+func (m *LrcFetchReq) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u8(&m.Requester)
+	c.u32(&m.Token)
 }
 
 // LrcFetchResp returns a base copy plus, per writer, the highest closed
@@ -582,6 +833,13 @@ type LrcFetchResp struct {
 	Data    []byte
 }
 
+func (m *LrcFetchResp) walk(c *codec) {
+	c.addr(&m.Addr)
+	c.u32(&m.Token)
+	c.u32s(&m.Applied)
+	c.bytes(&m.Data)
+}
+
 // LrcGC broadcasts the garbage-collection floor the barrier master
 // computed from every arrival's applied floors: node j's diff records for
 // intervals <= Floors[j] have been incorporated into every surviving
@@ -589,6 +847,10 @@ type LrcFetchResp struct {
 // with the matching write-notice bookkeeping.
 type LrcGC struct {
 	Floors []uint32
+}
+
+func (m *LrcGC) walk(c *codec) {
+	c.u32s(&m.Floors)
 }
 
 // --- Batching envelope ---
@@ -610,6 +872,12 @@ type Batch struct {
 	Msgs []Message
 }
 
+func (m *Batch) walk(c *codec) {
+	for i := range list(c, &m.Msgs, 1) {
+		c.rider(i, &m.Msgs[i])
+	}
+}
+
 // --- Message passing baseline ---
 
 // MPData is a raw tagged payload for the hand-coded message-passing
@@ -617,6 +885,11 @@ type Batch struct {
 type MPData struct {
 	Tag     uint32
 	Payload []byte
+}
+
+func (m *MPData) walk(c *codec) {
+	c.u32(&m.Tag)
+	c.bytes(&m.Payload)
 }
 
 func (ReadReq) Kind() Kind        { return KindReadReq }
@@ -662,867 +935,6 @@ func (LrcFetchReq) Kind() Kind       { return KindLrcFetchReq }
 func (LrcFetchResp) Kind() Kind      { return KindLrcFetchResp }
 func (LrcGC) Kind() Kind             { return KindLrcGC }
 func (Batch) Kind() Kind             { return KindBatch }
-
-// ErrCorrupt is returned by Unmarshal for undecodable input.
-var ErrCorrupt = errors.New("wire: corrupt message")
-
-type encoder struct{ b []byte }
-
-func (e *encoder) u8(v uint8)   { e.b = append(e.b, v) }
-func (e *encoder) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *encoder) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *encoder) bytes(v []byte) {
-	e.u32(uint32(len(v)))
-	e.b = append(e.b, v...)
-}
-func (e *encoder) addrs(v []vm.Addr) {
-	e.u32(uint32(len(v)))
-	for _, a := range v {
-		e.u32(uint32(a))
-	}
-}
-func (e *encoder) updates(v []UpdateEntry) {
-	e.u32(uint32(len(v)))
-	for _, u := range v {
-		e.u32(uint32(u.Addr))
-		e.u32(u.Size)
-		e.boolean(u.Full != nil)
-		if u.Full != nil {
-			e.bytes(u.Full)
-		} else {
-			e.bytes(u.Diff)
-		}
-	}
-}
-
-// setEscape is the 8-byte marker opening a copyset's extended form.
-// The inline form is the set's single bitmap word, which (for any set a
-// real machine produces) is distinguishable because a ≤64-node machine
-// never fills all 64 bits AND escapes the inline form for the one set
-// that would (nodeset.Set.Inline refuses the all-ones word).
-const setEscape = ^uint64(0)
-
-// maxWireNode bounds a decoded copyset member: wire node ids are uint8
-// everywhere else, so anything past one overflow word's reach is
-// corruption, not a bigger machine.
-const maxWireNode = 1 << 16
-
-// set encodes a copyset: the inline bitmap word for sets confined to
-// nodes 0–63 (byte-identical to the original fixed-u64 layout), or the
-// escape marker followed by a uvarint member count and uvarint node
-// ids for anything larger. Both forms encode without allocating (the
-// member walk is a manual word scan, not a ForEach closure, so the
-// encoder never escapes).
-func (e *encoder) set(s nodeset.Set) {
-	if lo, ok := s.Inline(); ok {
-		e.u64(lo)
-		return
-	}
-	e.u64(setEscape)
-	e.b = binary.AppendUvarint(e.b, uint64(s.Count()))
-	for wi := 0; wi < s.Words(); wi++ {
-		base := wi * 64
-		for w := s.Word(wi); w != 0; w &= w - 1 {
-			e.b = binary.AppendUvarint(e.b, uint64(base+bits.TrailingZeros64(w)))
-		}
-	}
-}
-
-func (e *encoder) csets(v []nodeset.Set) {
-	e.u32(uint32(len(v)))
-	for _, s := range v {
-		e.set(s)
-	}
-}
-
-func (e *encoder) u32s(v []uint32) {
-	e.u32(uint32(len(v)))
-	for _, x := range v {
-		e.u32(x)
-	}
-}
-func (e *encoder) intervals(v []LrcInterval) {
-	e.u32(uint32(len(v)))
-	for _, iv := range v {
-		e.u8(iv.Node)
-		e.u32(iv.Ivl)
-		e.addrs(iv.Addrs)
-	}
-}
-func (e *encoder) records(v []LrcRecord) {
-	e.u32(uint32(len(v)))
-	for _, r := range v {
-		e.u32(r.First)
-		e.u32(r.Last)
-		e.u32s(r.VT)
-		e.boolean(r.Full != nil)
-		if r.Full != nil {
-			e.bytes(r.Full)
-		} else {
-			e.bytes(r.Diff)
-		}
-	}
-}
-func (e *encoder) diffSets(v []LrcDiffSet) {
-	e.u32(uint32(len(v)))
-	for _, s := range v {
-		e.u32(uint32(s.Addr))
-		e.records(s.Records)
-	}
-}
-
-type decoder struct {
-	b   []byte
-	err error
-	// borrow makes bytes/bytes8 return views into b instead of copies
-	// (UnmarshalView); the caller owns b's lifetime.
-	borrow bool
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrCorrupt
-	}
-}
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var v []byte
-	if d.borrow {
-		v = d.b[:n:n]
-	} else {
-		v = append([]byte(nil), d.b[:n]...)
-	}
-	d.b = d.b[n:]
-	return v
-}
-func (d *decoder) addrs() []vm.Addr {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < 4*n {
-		d.fail()
-		return nil
-	}
-	out := make([]vm.Addr, n)
-	for i := range out {
-		out[i] = vm.Addr(d.u32())
-	}
-	return out
-}
-func (d *decoder) bytes8() []uint8 {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var v []uint8
-	if d.borrow {
-		v = d.b[:n:n]
-	} else {
-		v = append([]uint8(nil), d.b[:n]...)
-	}
-	d.b = d.b[n:]
-	return v
-}
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-func (d *decoder) set() nodeset.Set {
-	w := d.u64()
-	if d.err != nil {
-		return nodeset.Set{}
-	}
-	if w != setEscape {
-		return nodeset.FromWord(w)
-	}
-	n := int(d.uvarint())
-	if d.err != nil || n > len(d.b) { // each member id is ≥ 1 byte
-		d.fail()
-		return nodeset.Set{}
-	}
-	var s nodeset.Set
-	for i := 0; i < n; i++ {
-		id := d.uvarint()
-		if d.err != nil || id >= maxWireNode {
-			d.fail()
-			return nodeset.Set{}
-		}
-		s = s.Add(int(id))
-	}
-	return s
-}
-func (d *decoder) csets() []nodeset.Set {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < 8*n { // each set is ≥ 8 bytes
-		d.fail()
-		return nil
-	}
-	out := make([]nodeset.Set, n)
-	for i := range out {
-		out[i] = d.set()
-	}
-	return out
-}
-func (d *decoder) updates() []UpdateEntry {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each entry is ≥ 13 bytes
-		d.fail()
-		return nil
-	}
-	out := make([]UpdateEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var u UpdateEntry
-		u.Addr = vm.Addr(d.u32())
-		u.Size = d.u32()
-		full := d.boolean()
-		payload := d.bytes()
-		if full {
-			u.Full = payload
-		} else {
-			u.Diff = payload
-		}
-		out = append(out, u)
-	}
-	return out
-}
-
-func (d *decoder) u32s() []uint32 {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < 4*n {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = d.u32()
-	}
-	return out
-}
-func (d *decoder) intervals() []LrcInterval {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each interval is >= 9 bytes
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]LrcInterval, 0, n)
-	for i := 0; i < n; i++ {
-		var iv LrcInterval
-		iv.Node = d.u8()
-		iv.Ivl = d.u32()
-		iv.Addrs = d.addrs()
-		out = append(out, iv)
-	}
-	return out
-}
-func (d *decoder) records() []LrcRecord {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each record is >= 17 bytes
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]LrcRecord, 0, n)
-	for i := 0; i < n; i++ {
-		var r LrcRecord
-		r.First = d.u32()
-		r.Last = d.u32()
-		r.VT = d.u32s()
-		full := d.boolean()
-		payload := d.bytes()
-		if full {
-			r.Full = payload
-		} else {
-			r.Diff = payload
-		}
-		out = append(out, r)
-	}
-	return out
-}
-func (d *decoder) diffSets() []LrcDiffSet {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each set is >= 8 bytes
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]LrcDiffSet, 0, n)
-	for i := 0; i < n; i++ {
-		var s LrcDiffSet
-		s.Addr = vm.Addr(d.u32())
-		s.Records = d.records()
-		out = append(out, s)
-	}
-	return out
-}
-
-// Marshal encodes msg to its wire form (kind byte plus payload). It
-// allocates exactly once, sized by Size; the zero-allocation fast path
-// is AppendTo with a reused (or pooled, see GetBuf) buffer.
-func Marshal(msg Message) []byte {
-	return AppendTo(make([]byte, 0, Size(msg)), msg)
-}
-
-// AppendTo appends msg's wire form (kind byte plus payload) to buf and
-// returns the extended slice, exactly as append does. When buf has
-// Size(msg) spare capacity — a pooled buffer in steady state — the
-// encode performs no allocation at all.
-func AppendTo(buf []byte, msg Message) []byte {
-	e := encoder{b: buf}
-	e.u8(uint8(msg.Kind()))
-	switch m := msg.(type) {
-	case ReadReq:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Requester)
-		e.boolean(m.Prefetch)
-	case ReadReply:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Owner)
-		e.bytes(m.Data)
-	case OwnReq:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Requester)
-	case OwnReply:
-		e.u32(uint32(m.Addr))
-		e.set(m.Copyset)
-		e.bytes(m.Data)
-	case Invalidate:
-		e.u32(uint32(m.Addr))
-		e.u8(m.NewOwner)
-	case InvalidateAck:
-		e.u32(uint32(m.Addr))
-	case MigrateReq:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Requester)
-	case MigrateReply:
-		e.u32(uint32(m.Addr))
-		e.bytes(m.Data)
-	case UpdateBatch:
-		e.u8(m.From)
-		e.boolean(m.NeedAck)
-		e.updates(m.Entries)
-	case UpdateAck:
-		e.u32(m.Count)
-	case CopysetQuery:
-		e.u8(m.From)
-		e.addrs(m.Addrs)
-	case CopysetReply:
-		e.addrs(m.Addrs)
-	case ReduceReq:
-		e.u32(uint32(m.Addr))
-		e.u32(m.Off)
-		e.u8(uint8(m.Op))
-		e.u32(m.Operand)
-		e.u8(m.Requester)
-	case ReduceReply:
-		e.u32(uint32(m.Addr))
-		e.u32(m.Old)
-	case LockAcq:
-		e.u32(m.Lock)
-		e.u8(m.Requester)
-	case LockSetSucc:
-		e.u32(m.Lock)
-		e.u8(m.Succ)
-	case LockOwnNotify:
-		e.u32(m.Lock)
-		e.u8(m.Owner)
-	case LockGrant:
-		e.u32(m.Lock)
-		e.u8(m.Tail)
-		e.updates(m.Updates)
-	case BarrierArrive:
-		e.u32(m.Barrier)
-		e.u8(m.From)
-	case BarrierRelease:
-		e.u32(m.Barrier)
-		e.boolean(m.Tree)
-		e.u32(uint32(len(m.Subtree)))
-		e.b = append(e.b, m.Subtree...)
-	case DirReq:
-		e.u32(uint32(m.Addr))
-	case DirReply:
-		e.boolean(m.Found)
-		e.u32(uint32(m.Start))
-		e.u32(m.Size)
-		e.u8(m.Annot)
-		e.u8(m.Home)
-		e.u8(m.Owner)
-		e.u32(uint32(m.Group))
-		e.u32(m.Epoch)
-	case PhaseChange:
-		e.u32(uint32(m.Addr))
-	case ChangeAnnot:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Annot)
-	case CopysetLookup:
-		e.u8(m.From)
-		e.addrs(m.Addrs)
-	case CopysetInfo:
-		e.addrs(m.Addrs)
-		e.csets(m.Sets)
-	case CopysetNotify:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Reader)
-	case OwnNotify:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Owner)
-	case AdaptPropose:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Annot)
-		e.u32(m.Epoch)
-		e.u8(m.From)
-		e.u32(m.Events)
-		e.boolean(m.Urgent)
-	case AdaptCommit:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Annot)
-		e.u32(m.Epoch)
-	case MPData:
-		e.u32(m.Tag)
-		e.bytes(m.Payload)
-	case LrcLockAcq:
-		e.u32(m.Lock)
-		e.u8(m.Requester)
-		e.u32s(m.VT)
-	case LrcLockSetSucc:
-		e.u32(m.Lock)
-		e.u8(m.Succ)
-		e.u32s(m.VT)
-	case LrcLockGrant:
-		e.u32(m.Lock)
-		e.u8(m.Tail)
-		e.u32s(m.VT)
-		e.intervals(m.Notices)
-		e.updates(m.Updates)
-	case LrcBarrierArrive:
-		e.u32(m.Barrier)
-		e.u8(m.From)
-		e.u32s(m.VT)
-		e.u32s(m.Floors)
-		e.intervals(m.Notices)
-	case LrcBarrierRelease:
-		e.u32(m.Barrier)
-		e.boolean(m.Tree)
-		e.u32(uint32(len(m.Subtree)))
-		e.b = append(e.b, m.Subtree...)
-		e.u32s(m.VT)
-		e.intervals(m.Notices)
-	case LrcDiffReq:
-		e.u8(m.Requester)
-		e.u32(m.Token)
-		e.addrs(m.Addrs)
-		e.u32s(m.After)
-	case LrcDiffResp:
-		e.u32(m.Token)
-		e.diffSets(m.Sets)
-	case LrcFetchReq:
-		e.u32(uint32(m.Addr))
-		e.u8(m.Requester)
-		e.u32(m.Token)
-	case LrcFetchResp:
-		e.u32(uint32(m.Addr))
-		e.u32(m.Token)
-		e.u32s(m.Applied)
-		e.bytes(m.Data)
-	case LrcGC:
-		e.u32s(m.Floors)
-	case Batch:
-		e.u32(uint32(len(m.Msgs)))
-		for _, sub := range m.Msgs {
-			if _, nested := sub.(Batch); nested {
-				panic("wire: batch inside a batch")
-			}
-			e.u32(uint32(Size(sub)))
-			e.b = AppendTo(e.b, sub)
-		}
-	default:
-		panic(fmt.Sprintf("wire: cannot marshal %T", msg))
-	}
-	return e.b
-}
-
-// Unmarshal decodes a message produced by Marshal. The returned message
-// owns all of its byte payloads (deep copies); b may be reused freely.
-func Unmarshal(b []byte) (Message, error) {
-	return unmarshal(b, false)
-}
-
-// UnmarshalView decodes like Unmarshal but byte payloads (update data,
-// diffs, read-reply images, subtree lists) are views into b, not copies —
-// the zero-copy receive path. The caller owns b's lifetime: the message
-// and anything extracted from it must not outlive b unless re-owned with
-// Own or OwnEntry first.
-func UnmarshalView(b []byte) (Message, error) {
-	return unmarshal(b, true)
-}
-
-func unmarshal(b []byte, borrow bool) (Message, error) {
-	d := &decoder{b: b, borrow: borrow}
-	kind := Kind(d.u8())
-	var msg Message
-	switch kind {
-	case KindReadReq:
-		msg = ReadReq{Addr: vm.Addr(d.u32()), Requester: d.u8(), Prefetch: d.boolean()}
-	case KindReadReply:
-		msg = ReadReply{Addr: vm.Addr(d.u32()), Owner: d.u8(), Data: d.bytes()}
-	case KindOwnReq:
-		msg = OwnReq{Addr: vm.Addr(d.u32()), Requester: d.u8()}
-	case KindOwnReply:
-		msg = OwnReply{Addr: vm.Addr(d.u32()), Copyset: d.set(), Data: d.bytes()}
-	case KindInvalidate:
-		msg = Invalidate{Addr: vm.Addr(d.u32()), NewOwner: d.u8()}
-	case KindInvalidateAck:
-		msg = InvalidateAck{Addr: vm.Addr(d.u32())}
-	case KindMigrateReq:
-		msg = MigrateReq{Addr: vm.Addr(d.u32()), Requester: d.u8()}
-	case KindMigrateReply:
-		msg = MigrateReply{Addr: vm.Addr(d.u32()), Data: d.bytes()}
-	case KindUpdateBatch:
-		msg = UpdateBatch{From: d.u8(), NeedAck: d.boolean(), Entries: d.updates()}
-	case KindUpdateAck:
-		msg = UpdateAck{Count: d.u32()}
-	case KindCopysetQuery:
-		msg = CopysetQuery{From: d.u8(), Addrs: d.addrs()}
-	case KindCopysetReply:
-		msg = CopysetReply{Addrs: d.addrs()}
-	case KindReduceReq:
-		msg = ReduceReq{Addr: vm.Addr(d.u32()), Off: d.u32(), Op: ReduceOp(d.u8()), Operand: d.u32(), Requester: d.u8()}
-	case KindReduceReply:
-		msg = ReduceReply{Addr: vm.Addr(d.u32()), Old: d.u32()}
-	case KindLockAcq:
-		msg = LockAcq{Lock: d.u32(), Requester: d.u8()}
-	case KindLockSetSucc:
-		msg = LockSetSucc{Lock: d.u32(), Succ: d.u8()}
-	case KindLockOwnNotify:
-		msg = LockOwnNotify{Lock: d.u32(), Owner: d.u8()}
-	case KindLockGrant:
-		msg = LockGrant{Lock: d.u32(), Tail: d.u8(), Updates: d.updates()}
-	case KindBarrierArrive:
-		msg = BarrierArrive{Barrier: d.u32(), From: d.u8()}
-	case KindBarrierRelease:
-		msg = BarrierRelease{Barrier: d.u32(), Tree: d.boolean(), Subtree: d.bytes8()}
-	case KindDirReq:
-		msg = DirReq{Addr: vm.Addr(d.u32())}
-	case KindDirReply:
-		msg = DirReply{Found: d.boolean(), Start: vm.Addr(d.u32()), Size: d.u32(), Annot: d.u8(),
-			Home: d.u8(), Owner: d.u8(), Group: vm.Addr(d.u32()), Epoch: d.u32()}
-	case KindPhaseChange:
-		msg = PhaseChange{Addr: vm.Addr(d.u32())}
-	case KindChangeAnnot:
-		msg = ChangeAnnot{Addr: vm.Addr(d.u32()), Annot: d.u8()}
-	case KindCopysetLookup:
-		msg = CopysetLookup{From: d.u8(), Addrs: d.addrs()}
-	case KindCopysetInfo:
-		msg = CopysetInfo{Addrs: d.addrs(), Sets: d.csets()}
-	case KindCopysetNotify:
-		msg = CopysetNotify{Addr: vm.Addr(d.u32()), Reader: d.u8()}
-	case KindOwnNotify:
-		msg = OwnNotify{Addr: vm.Addr(d.u32()), Owner: d.u8()}
-	case KindAdaptPropose:
-		msg = AdaptPropose{Addr: vm.Addr(d.u32()), Annot: d.u8(), Epoch: d.u32(),
-			From: d.u8(), Events: d.u32(), Urgent: d.boolean()}
-	case KindAdaptCommit:
-		msg = AdaptCommit{Addr: vm.Addr(d.u32()), Annot: d.u8(), Epoch: d.u32()}
-	case KindMPData:
-		msg = MPData{Tag: d.u32(), Payload: d.bytes()}
-	case KindLrcLockAcq:
-		msg = LrcLockAcq{Lock: d.u32(), Requester: d.u8(), VT: d.u32s()}
-	case KindLrcLockSetSucc:
-		msg = LrcLockSetSucc{Lock: d.u32(), Succ: d.u8(), VT: d.u32s()}
-	case KindLrcLockGrant:
-		msg = LrcLockGrant{Lock: d.u32(), Tail: d.u8(), VT: d.u32s(),
-			Notices: d.intervals(), Updates: d.updates()}
-	case KindLrcBarrierArrive:
-		msg = LrcBarrierArrive{Barrier: d.u32(), From: d.u8(), VT: d.u32s(),
-			Floors: d.u32s(), Notices: d.intervals()}
-	case KindLrcBarrierRelease:
-		msg = LrcBarrierRelease{Barrier: d.u32(), Tree: d.boolean(), Subtree: d.bytes8(),
-			VT: d.u32s(), Notices: d.intervals()}
-	case KindLrcDiffReq:
-		msg = LrcDiffReq{Requester: d.u8(), Token: d.u32(), Addrs: d.addrs(), After: d.u32s()}
-	case KindLrcDiffResp:
-		msg = LrcDiffResp{Token: d.u32(), Sets: d.diffSets()}
-	case KindLrcFetchReq:
-		msg = LrcFetchReq{Addr: vm.Addr(d.u32()), Requester: d.u8(), Token: d.u32()}
-	case KindLrcFetchResp:
-		msg = LrcFetchResp{Addr: vm.Addr(d.u32()), Token: d.u32(), Applied: d.u32s(), Data: d.bytes()}
-	case KindLrcGC:
-		msg = LrcGC{Floors: d.u32s()}
-	case KindBatch:
-		n := int(d.u32())
-		if d.err != nil || n > len(d.b) { // each rider is >= 5 bytes framed
-			d.fail()
-			break
-		}
-		msgs := make([]Message, 0, n)
-		for i := 0; i < n; i++ {
-			ln := int(d.u32())
-			if d.err != nil || ln < 1 || len(d.b) < ln {
-				d.fail()
-				break
-			}
-			sub, err := unmarshal(d.b[:ln], d.borrow)
-			if err != nil {
-				return nil, fmt.Errorf("%w: batch rider %d: %v", ErrCorrupt, i, err)
-			}
-			if _, nested := sub.(Batch); nested {
-				return nil, fmt.Errorf("%w: batch inside a batch", ErrCorrupt)
-			}
-			d.b = d.b[ln:]
-			msgs = append(msgs, sub)
-		}
-		msg = Batch{Msgs: msgs}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v payload", d.err, kind)
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %v", ErrCorrupt, len(d.b), kind)
-	}
-	return msg, nil
-}
-
-// --- Computed sizes ---
-//
-// Size is computed directly from the message fields, never by encoding:
-// the simulated network sizes every message it carries, and a Marshal
-// per Size would dominate the send path. The size helpers mirror the
-// encoder helpers one for one; the wire tests assert
-// Size(msg) == len(Marshal(msg)) for every kind over randomized
-// messages, so the two cannot drift apart silently.
-
-func sizeBytes(b []byte) int { return 4 + len(b) }
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-func sizeSet(s nodeset.Set) int {
-	if _, ok := s.Inline(); ok {
-		return 8
-	}
-	n := 8 + uvarintLen(uint64(s.Count()))
-	for wi := 0; wi < s.Words(); wi++ {
-		base := wi * 64
-		for w := s.Word(wi); w != 0; w &= w - 1 {
-			n += uvarintLen(uint64(base + bits.TrailingZeros64(w)))
-		}
-	}
-	return n
-}
-func sizeSets(v []nodeset.Set) int {
-	n := 4
-	for _, s := range v {
-		n += sizeSet(s)
-	}
-	return n
-}
-func sizeAddrs(v []vm.Addr) int { return 4 + 4*len(v) }
-func sizeU32s(v []uint32) int   { return 4 + 4*len(v) }
-func sizeEntry(u *UpdateEntry) int {
-	if u.Full != nil {
-		return 4 + 4 + 1 + sizeBytes(u.Full)
-	}
-	return 4 + 4 + 1 + sizeBytes(u.Diff)
-}
-func sizeUpdates(v []UpdateEntry) int {
-	n := 4
-	for i := range v {
-		n += sizeEntry(&v[i])
-	}
-	return n
-}
-func sizeIntervals(v []LrcInterval) int {
-	n := 4
-	for i := range v {
-		n += 1 + 4 + sizeAddrs(v[i].Addrs)
-	}
-	return n
-}
-func sizeRecords(v []LrcRecord) int {
-	n := 4
-	for i := range v {
-		r := &v[i]
-		n += 4 + 4 + sizeU32s(r.VT) + 1
-		if r.Full != nil {
-			n += sizeBytes(r.Full)
-		} else {
-			n += sizeBytes(r.Diff)
-		}
-	}
-	return n
-}
-func sizeDiffSets(v []LrcDiffSet) int {
-	n := 4
-	for i := range v {
-		n += 4 + sizeRecords(v[i].Records)
-	}
-	return n
-}
-
-// Size returns the encoded length of msg in bytes (kind byte plus
-// payload), computed without encoding anything.
-func Size(msg Message) int {
-	const kind = 1
-	switch m := msg.(type) {
-	case ReadReq:
-		return kind + 4 + 1 + 1
-	case ReadReply:
-		return kind + 4 + 1 + sizeBytes(m.Data)
-	case OwnReq:
-		return kind + 4 + 1
-	case OwnReply:
-		return kind + 4 + sizeSet(m.Copyset) + sizeBytes(m.Data)
-	case Invalidate:
-		return kind + 4 + 1
-	case InvalidateAck:
-		return kind + 4
-	case MigrateReq:
-		return kind + 4 + 1
-	case MigrateReply:
-		return kind + 4 + sizeBytes(m.Data)
-	case UpdateBatch:
-		return kind + 1 + 1 + sizeUpdates(m.Entries)
-	case UpdateAck:
-		return kind + 4
-	case CopysetQuery:
-		return kind + 1 + sizeAddrs(m.Addrs)
-	case CopysetReply:
-		return kind + sizeAddrs(m.Addrs)
-	case ReduceReq:
-		return kind + 4 + 4 + 1 + 4 + 1
-	case ReduceReply:
-		return kind + 4 + 4
-	case LockAcq:
-		return kind + 4 + 1
-	case LockSetSucc:
-		return kind + 4 + 1
-	case LockOwnNotify:
-		return kind + 4 + 1
-	case LockGrant:
-		return kind + 4 + 1 + sizeUpdates(m.Updates)
-	case BarrierArrive:
-		return kind + 4 + 1
-	case BarrierRelease:
-		return kind + 4 + 1 + 4 + len(m.Subtree)
-	case DirReq:
-		return kind + 4
-	case DirReply:
-		return kind + 1 + 4 + 4 + 1 + 1 + 1 + 4 + 4
-	case PhaseChange:
-		return kind + 4
-	case ChangeAnnot:
-		return kind + 4 + 1
-	case CopysetLookup:
-		return kind + 1 + sizeAddrs(m.Addrs)
-	case CopysetInfo:
-		return kind + sizeAddrs(m.Addrs) + sizeSets(m.Sets)
-	case CopysetNotify:
-		return kind + 4 + 1
-	case OwnNotify:
-		return kind + 4 + 1
-	case AdaptPropose:
-		return kind + 4 + 1 + 4 + 1 + 4 + 1
-	case AdaptCommit:
-		return kind + 4 + 1 + 4
-	case MPData:
-		return kind + 4 + sizeBytes(m.Payload)
-	case LrcLockAcq:
-		return kind + 4 + 1 + sizeU32s(m.VT)
-	case LrcLockSetSucc:
-		return kind + 4 + 1 + sizeU32s(m.VT)
-	case LrcLockGrant:
-		return kind + 4 + 1 + sizeU32s(m.VT) + sizeIntervals(m.Notices) + sizeUpdates(m.Updates)
-	case LrcBarrierArrive:
-		return kind + 4 + 1 + sizeU32s(m.VT) + sizeU32s(m.Floors) + sizeIntervals(m.Notices)
-	case LrcBarrierRelease:
-		return kind + 4 + 1 + 4 + len(m.Subtree) + sizeU32s(m.VT) + sizeIntervals(m.Notices)
-	case LrcDiffReq:
-		return kind + 1 + 4 + sizeAddrs(m.Addrs) + sizeU32s(m.After)
-	case LrcDiffResp:
-		return kind + 4 + sizeDiffSets(m.Sets)
-	case LrcFetchReq:
-		return kind + 4 + 1 + 4
-	case LrcFetchResp:
-		return kind + 4 + 4 + sizeU32s(m.Applied) + sizeBytes(m.Data)
-	case LrcGC:
-		return kind + sizeU32s(m.Floors)
-	case Batch:
-		n := kind + 4
-		for _, sub := range m.Msgs {
-			n += 4 + Size(sub)
-		}
-		return n
-	default:
-		panic(fmt.Sprintf("wire: cannot size %T", msg))
-	}
-}
 
 // Riders returns the number of protocol messages one transport send of
 // msg carries: len(b.Msgs) for a batch envelope, 1 for anything else.
