@@ -6,6 +6,7 @@ package munin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,6 +71,14 @@ func TestConfigValidationErrors(t *testing.T) {
 	})
 	t.Run("UnknownTransport", func(t *testing.T) {
 		expectRunError(t, "transport", NewProgram(2), WithTransport("carrier-pigeon"))
+	})
+	t.Run("RetiredTCPTransport", func(t *testing.T) {
+		expectRunError(t, `use "mux"`, NewProgram(2), WithTransport("tcp"))
+		_, err := NewProgram(2).Run(context.Background(), func(root *Thread) {}, WithTransport("tcp"))
+		var te *TransportError
+		if !errors.As(err, &te) || te.Name != "tcp" || te.Use != TransportMux {
+			t.Errorf("err %#v, want a *TransportError for tcp naming mux", err)
+		}
 	})
 	t.Run("SixteenProcessorsOK", func(t *testing.T) {
 		if _, err := NewProgram(16).Run(context.Background(), func(root *Thread) {}); err != nil {

@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		app         = flag.String("app", "matmul", "application: matmul, sor, tsp or lockheavy")
-		procs       = flag.Int("procs", 8, "processor count (1-16)")
+		procs       = flag.Int("procs", 8, fmt.Sprintf("processor count (1-%d)", munin.MaxProcessors))
 		n           = flag.Int("n", 400, "matrix dimension (matmul)")
 		rows        = flag.Int("rows", 512, "grid rows (sor)")
 		cols        = flag.Int("cols", 2048, "grid columns (sor)")
@@ -44,7 +44,7 @@ func main() {
 		consistency = flag.String("consistency", "eager", "release-consistency engine: eager (release-time flush) or lazy (acquire-directed, internal/lrc)")
 		rounds      = flag.Int("rounds", 12, "critical-section rounds (lockheavy)")
 		batch       = flag.Bool("batch", false, "coalesce same-destination protocol messages into batch envelopes (fewer transport sends; see munin.WithBatching)")
-		transport   = flag.String("transport", "sim", "transport: sim (deterministic virtual time), chan (concurrent goroutine-per-node), tcp (concurrent over loopback sockets) or mux (multiplexed loopback sockets, zero-copy receive)")
+		transport   = flag.String("transport", "sim", "transport: sim (deterministic virtual time), chan (concurrent goroutine-per-node) or mux (concurrent over multiplexed loopback sockets, zero-copy receive)")
 		profile     = flag.Bool("profile", false, "enable per-run metrics and print the hot-object table and latency percentiles (munin.WithMetrics; charges nothing to the cost model)")
 		top         = flag.Int("top", 10, "number of objects in the -profile table")
 	)
@@ -178,7 +178,7 @@ func main() {
 	}
 	// Exit non-zero on a result mismatch under the program's own
 	// annotations; overrides may legitimately perturb chaotic relaxation
-	// (see EXPERIMENTS.md on Table 6).
+	// (the Table 6 tests in internal/bench assert each table's shape).
 	if r.Check != ref && override == nil {
 		os.Exit(1)
 	}

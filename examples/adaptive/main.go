@@ -27,13 +27,14 @@ import (
 	"log"
 	"os"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/protocol"
 )
 
 func main() {
 	var (
-		procs  = flag.Int("procs", 8, "processors (4-16)")
+		procs  = flag.Int("procs", 8, fmt.Sprintf("processors (4-%d)", munin.MaxProcessors))
 		rounds = flag.Int("rounds", 8, "rounds per phase")
 		annot  = flag.String("annotation", "", "force a static annotation instead of adapting (conventional, write_shared, ...)")
 	)

@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		procs  = flag.Int("procs", 8, "processors (2-16)")
+		procs  = flag.Int("procs", 8, fmt.Sprintf("processors (2-%d)", munin.MaxProcessors))
 		rounds = flag.Int("rounds", 12, "critical-section rounds")
 	)
 	flag.Parse()

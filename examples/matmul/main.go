@@ -34,7 +34,7 @@ import (
 func main() {
 	var (
 		n      = flag.Int("n", 200, "matrix dimension")
-		procs  = flag.Int("procs", 8, "processors (1-16)")
+		procs  = flag.Int("procs", 8, fmt.Sprintf("processors (1-%d)", munin.MaxProcessors))
 		single = flag.Bool("single", false, "treat input2 as a single object (the §2.5 SingleObject optimization)")
 	)
 	flag.Parse()

@@ -26,7 +26,7 @@ func main() {
 	var (
 		layers = flag.Int("layers", 8, "graph layers")
 		width  = flag.Int("width", 12, "nodes per layer")
-		procs  = flag.Int("procs", 6, "processors (1-16)")
+		procs  = flag.Int("procs", 6, fmt.Sprintf("processors (1-%d)", munin.MaxProcessors))
 	)
 	flag.Parse()
 	L, W := *layers, *width

@@ -31,7 +31,7 @@ import (
 
 func main() {
 	var (
-		procs   = flag.Int("procs", 6, "processors (2-16)")
+		procs   = flag.Int("procs", 6, fmt.Sprintf("processors (2-%d)", munin.MaxProcessors))
 		nphases = flag.Int("phases", 3, "redistribution phases")
 		rounds  = flag.Int("rounds", 4, "production rounds per phase")
 	)

@@ -31,7 +31,7 @@ func main() {
 		rows  = flag.Int("rows", 128, "grid rows")
 		cols  = flag.Int("cols", 2048, "grid columns (2048 = one 8 KB page per row)")
 		iters = flag.Int("iters", 10, "relaxation iterations")
-		procs = flag.Int("procs", 8, "processors (1-16)")
+		procs = flag.Int("procs", 8, fmt.Sprintf("processors (1-%d)", munin.MaxProcessors))
 	)
 	flag.Parse()
 

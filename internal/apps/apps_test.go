@@ -192,8 +192,8 @@ func TestMuninSORConventionalCompletes(t *testing.T) {
 	// Under the sequentially-consistent conventional protocol the
 	// one-barrier SOR is chaotic relaxation: reads may observe
 	// same-iteration neighbour values, so the finite-iteration result can
-	// differ from the reference (see EXPERIMENTS.md). The run must still
-	// complete and produce a finite grid.
+	// differ from the reference. The run must still complete and produce
+	// a finite grid.
 	conv := protocol.Conventional
 	cfg := SORConfig{Procs: 4, Rows: 20, Cols: 512, Iters: 5, Override: &conv}
 	r, err := MuninSOR(cfg)

@@ -105,7 +105,7 @@ func TestLazyEquivalenceSim(t *testing.T) {
 // matmul override also exercises lazy management of the output matrix).
 func TestLazyEquivalenceLive(t *testing.T) {
 	ws := protocol.WriteShared
-	for _, tr := range []string{"chan", "tcp", "mux"} {
+	for _, tr := range []string{"chan", "mux"} {
 		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: 32, Override: &ws, Lazy: true, Transport: tr})
 		if err != nil {
 			t.Fatalf("%s matmul: %v", tr, err)

@@ -142,7 +142,7 @@ type Config struct {
 	TraceEvents int
 	// Transport carries the machine's messages and hosts its procs. Nil
 	// means the deterministic simulator (rt.NewSim) — the transport the
-	// paper's tables are measured on. rt.NewChan and rt.NewTCP run the
+	// paper's tables are measured on. rt.NewChan and rt.NewMux run the
 	// same protocol code under real concurrency.
 	Transport rt.Transport
 }
@@ -263,8 +263,8 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 		panic(fmt.Sprintf("core: transport has %d nodes for %d processors",
 			cfg.Transport.Nodes(), cfg.Processors))
 	}
-	if name := cfg.Transport.Name(); name == "tcp" || name == "mux" {
-		// TCP and Mux guarantee only per-pair FIFO, not the cross-sender
+	if cfg.Transport.Name() == "mux" {
+		// Mux guarantees only per-pair FIFO, not the cross-sender
 		// causal order the simulator's serialized bus and the chan
 		// transport's synchronous enqueue both give. Release consistency
 		// then needs flushes to block until their updates are

@@ -41,11 +41,21 @@ type Envelope struct {
 	Buf *[]byte
 }
 
+// releasePoison is the byte Release overwrites a receive buffer with.
+const releasePoison = 0xDB
+
 // Release returns a borrowed envelope's receive buffer to the pool.
 // Safe (and a no-op) on envelopes that borrow nothing; must not be
-// called twice.
+// called twice. The buffer is first overwritten with releasePoison, so
+// a payload retained without wire.Own reads garbage at once (and fails
+// a checksum) instead of silently aliasing the next message received
+// into the recycled buffer.
 func (e *Envelope) Release() {
 	if e.Buf != nil {
+		b := *e.Buf
+		for i := range b {
+			b[i] = releasePoison
+		}
 		wire.PutBuf(e.Buf)
 		e.Buf = nil
 		e.Borrowed = false
@@ -182,7 +192,7 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 	if src == dst {
 		panic(fmt.Sprintf("network: node %d sending %v to itself", src, msg.Kind()))
 	}
-	bp := wire.GetBuf()
+	bp := wire.GetBufN(wire.Size(msg))
 	encoded := wire.AppendTo(*bp, msg)
 	*bp = encoded
 	decoded, err := wire.Unmarshal(encoded)

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"testing"
 
 	"munin/internal/model"
@@ -214,5 +215,51 @@ func TestFIFOBetweenPair(t *testing.T) {
 		if v != uint32(i) {
 			t.Fatalf("got = %v, want in-order", got)
 		}
+	}
+}
+
+// borrowedEnvelope encodes msg into a pooled buffer and decodes it as a
+// view, the way the mux transport delivers a frame.
+func borrowedEnvelope(t *testing.T, msg wire.Message) Envelope {
+	t.Helper()
+	bp := wire.GetBufN(wire.Size(msg))
+	*bp = wire.AppendTo(*bp, msg)
+	view, err := wire.UnmarshalView(*bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Envelope{Msg: view, Borrowed: true, Buf: bp}
+}
+
+// TestReleasePoisonsBorrowedPayload: once a borrowed envelope is
+// released, a payload kept without re-owning reads the poison byte, so a
+// missed wire.Own fails loudly instead of aliasing a later message.
+func TestReleasePoisonsBorrowedPayload(t *testing.T) {
+	start := wire.Outstanding()
+	env := borrowedEnvelope(t, wire.ReadReply{Addr: 0x80001000, Owner: 2, Data: []byte{1, 2, 3, 4}})
+	kept := env.Msg.(wire.ReadReply).Data
+	env.Release()
+	for i, b := range kept {
+		if b != releasePoison {
+			t.Fatalf("byte %d of the released payload is %#x, want poison %#x", i, b, releasePoison)
+		}
+	}
+	if env.Buf != nil || env.Borrowed {
+		t.Error("Release left the envelope borrowing")
+	}
+	if got := wire.Outstanding() - start; got != 0 {
+		t.Errorf("%d pooled buffers outstanding after Release", got)
+	}
+}
+
+// TestOwnSurvivesRelease: a message re-owned before Release keeps its
+// payload intact.
+func TestOwnSurvivesRelease(t *testing.T) {
+	want := []byte{1, 2, 3, 4}
+	env := borrowedEnvelope(t, wire.ReadReply{Addr: 0x80001000, Owner: 2, Data: want})
+	owned := wire.Own(env.Msg).(wire.ReadReply)
+	env.Release()
+	if !bytes.Equal(owned.Data, want) {
+		t.Fatalf("owned payload %v after Release, want %v", owned.Data, want)
 	}
 }

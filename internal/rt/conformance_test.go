@@ -15,7 +15,7 @@ import (
 
 // This file is the transport conformance suite: every behavioral contract
 // the runtime (internal/core) leans on, asserted identically against all
-// four Transport implementations via eachTransport. The fault-injection
+// three Transport implementations via eachTransport. The fault-injection
 // and deadlock-watchdog contracts live in rt_test.go; this file covers
 // the zero-copy envelope lifecycle, TryRecv drain semantics, broadcast
 // fan-out and context cancellation.

@@ -15,13 +15,13 @@ import (
 	"munin/internal/wire"
 )
 
-// Live is the real concurrent runtime shared by the Chan and TCP
+// Live is the real concurrent runtime shared by the Chan and Mux
 // transports. Each node is a monitor: its procs (user threads plus the
 // dispatcher) are goroutines serialized by the node mutex, which is
 // released at exactly the points where the simulator yields — Advance,
 // Send, and every blocking Wait/Acquire/Recv. Nodes run against real
 // time and in true parallel; only delivery differs between Chan
-// (synchronous in-process enqueue) and TCP (loopback sockets).
+// (synchronous in-process enqueue) and Mux (multiplexed loopback sockets).
 type Live struct {
 	name  string
 	cost  model.CostModel
@@ -57,7 +57,7 @@ type Live struct {
 
 	wg sync.WaitGroup
 	// running counts procs not parked; queued counts messages sitting in
-	// inboxes; inflight counts messages sent but not yet enqueued (TCP
+	// inboxes; inflight counts messages sent but not yet enqueued (mux
 	// socket transit). activity increments on every state change. The
 	// deadlock watchdog declares a deadlock only after observing
 	// running == queued == inflight == 0 across two samples with no
@@ -133,7 +133,7 @@ func (l *Live) Nodes() int { return len(l.nodes) }
 // The clock intentionally starts at construction, not Run: procs spawn
 // (and may stamp envelopes) before Run is called, and a single origin
 // keeps every stamp consistent. Short runs therefore include setup time
-// (e.g. the TCP transport's dialing) in Elapsed — wall-clock numbers on
+// (e.g. the mux transport's dialing) in Elapsed — wall-clock numbers on
 // the live transports are informational, not modeled.
 func (l *Live) Now() Time { return Time(time.Since(l.start)) }
 
@@ -355,7 +355,7 @@ func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
 	// checks the codec and deep-copies the message, so the receiver never
 	// aliases sender memory. The buffer is recycled once delivery (which
 	// copies or frames it) returns.
-	bp := wire.GetBuf()
+	bp := wire.GetBufN(wire.Size(msg))
 	encoded := wire.AppendTo(*bp, msg)
 	*bp = encoded
 	decoded := msg

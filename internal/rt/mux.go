@@ -14,14 +14,14 @@ import (
 
 // Mux is the Live runtime with every node pair's traffic multiplexed over
 // a small fixed set of shared loopback TCP connections ("lanes"), the way
-// a proxy core tunnels many sessions over one transport stream. Where the
-// TCP transport builds an O(n²) connection mesh, Mux keeps muxLanes
+// a proxy core tunnels many sessions over one transport stream. Instead
+// of an O(n²) mesh of one connection per node pair, Mux keeps muxLanes
 // connections total: each frame carries its own (src,dst) route and a
 // deterministic hash pins every directed pair to one lane, so a pair's
 // frames share a single FIFO byte stream end to end and per-(src,dst)
-// order is exactly what the socket gives. Like TCP — and unlike the
-// simulator's serialized bus and Chan's synchronous enqueue — Mux does
-// NOT order deliveries across different senders, so the runtime awaits
+// order is exactly what the socket gives. Unlike the simulator's
+// serialized bus and Chan's synchronous enqueue, Mux does NOT order
+// deliveries across different senders, so the runtime awaits
 // update acknowledgements on it (see core.Config.AwaitUpdateAcks).
 //
 // The receive path is zero-copy: a frame's payload is read into a pooled

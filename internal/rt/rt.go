@@ -11,8 +11,6 @@
 //     communicate over in-process queues in real time. Cross-node
 //     parallelism is genuine, so `go test -race` exercises the protocol
 //     under true concurrency.
-//   - TCP: the Chan runtime with delivery over loopback TCP sockets, one
-//     connection per node pair, messages marshaled through internal/wire.
 //   - Mux: the Chan runtime with every node pair's traffic multiplexed
 //     over a small fixed set of shared loopback TCP connections using
 //     session frames, and a zero-copy receive path: frames decode as
@@ -112,10 +110,10 @@ type ContextBinder interface {
 // the Chan runtime's synchronous enqueue additionally preserve causal
 // order (a message sent before a causally later one is delivered first),
 // which is the guarantee release consistency leans on when update acks
-// are not awaited. TCP and Mux only guarantee per-pair FIFO, so the
-// runtime enables update acknowledgements on them.
+// are not awaited. Mux only guarantees per-pair FIFO, so the runtime
+// enables update acknowledgements on it.
 type Transport interface {
-	// Name identifies the implementation: "sim", "chan", "tcp" or "mux".
+	// Name identifies the implementation: "sim", "chan" or "mux".
 	Name() string
 	// Nodes returns the node count.
 	Nodes() int

@@ -19,13 +19,6 @@ func eachTransport(t *testing.T, nodes int, fn func(t *testing.T, tr rt.Transpor
 	cost := model.Default()
 	t.Run("sim", func(t *testing.T) { fn(t, rt.NewSim(cost, nodes)) })
 	t.Run("chan", func(t *testing.T) { fn(t, rt.NewChan(cost, nodes)) })
-	t.Run("tcp", func(t *testing.T) {
-		tr, err := rt.NewTCP(cost, nodes)
-		if err != nil {
-			t.Fatalf("NewTCP: %v", err)
-		}
-		fn(t, tr)
-	})
 	t.Run("mux", func(t *testing.T) {
 		tr, err := rt.NewMux(cost, nodes)
 		if err != nil {

@@ -33,15 +33,13 @@ func init() {
 // balance the leak checks assert returns to its starting value.
 var outstanding atomic.Int64
 
-// GetBuf returns a zero-length pooled scratch buffer (smallest class)
-// for AppendTo. Return it with PutBuf once the bytes are no longer
-// referenced.
-func GetBuf() *[]byte { return GetBufN(0) }
-
 // GetBufN returns a zero-length pooled buffer with at least n bytes of
 // capacity, from the smallest adequate size class. Requests beyond the
 // largest class are plainly allocated (and still counted outstanding
-// until PutBuf).
+// until PutBuf). An encode sizes its buffer up front,
+// GetBufN(Size(msg)), so AppendTo never grows it: a grown buffer would
+// return to a larger class than the one it was drawn from, and that
+// class's pool would then miss on every later draw.
 func GetBufN(n int) *[]byte {
 	outstanding.Add(1)
 	for i := range classSizes {
@@ -55,7 +53,7 @@ func GetBufN(n int) *[]byte {
 	return &b
 }
 
-// PutBuf recycles a buffer obtained from GetBuf/GetBufN, routing it by
+// PutBuf recycles a buffer obtained from GetBufN, routing it by
 // capacity to the largest class it can serve. The caller must not retain
 // the contents past this call.
 func PutBuf(bp *[]byte) {

@@ -65,7 +65,7 @@ func obsEngines() map[string][]RunOption {
 // and fault on every transport × engine combination.
 func TestLatenciesAllTransportsAndEngines(t *testing.T) {
 	const procs = 4
-	for _, tr := range []string{TransportSim, TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportSim, TransportChan, TransportMux} {
 		for eng, engOpts := range obsEngines() {
 			t.Run(tr+"/"+eng, func(t *testing.T) {
 				p, root := obsProgram(procs)
@@ -105,7 +105,7 @@ func TestLatenciesAllTransportsAndEngines(t *testing.T) {
 // actually issued.
 func TestCounterConservation(t *testing.T) {
 	const procs = 4
-	for _, tr := range []string{TransportSim, TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportSim, TransportChan, TransportMux} {
 		for eng, engOpts := range obsEngines() {
 			for _, batch := range []bool{false, true} {
 				name := tr + "/" + eng
@@ -160,7 +160,7 @@ func TestCounterConservation(t *testing.T) {
 // total must equal the sum of delivered envelope sizes.
 func TestPerKindBytesConservation(t *testing.T) {
 	const procs = 4
-	for _, tr := range []string{TransportSim, TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportSim, TransportChan, TransportMux} {
 		for _, batch := range []bool{false, true} {
 			name := tr
 			if batch {

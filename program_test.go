@@ -62,7 +62,7 @@ func TestProgramReuseAcrossTransportsAndOverrides(t *testing.T) {
 	checkProduct("sim2", sim2)
 
 	// Runs 3 and 4: the same Program on the live transports.
-	for _, tr := range []string{TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportChan, TransportMux} {
 		res, err := prog.Run(context.Background(), root, WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s run: %v", tr, err)
@@ -103,9 +103,9 @@ func spinProgram() (*Program, func(*Thread)) {
 }
 
 // TestContextCancellationStopsLiveTransports: cancelling the context
-// makes an in-flight chan/tcp run unwind and return ctx.Err().
+// makes an in-flight chan/mux run unwind and return ctx.Err().
 func TestContextCancellationStopsLiveTransports(t *testing.T) {
-	for _, tr := range []string{TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportChan, TransportMux} {
 		t.Run(tr, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()

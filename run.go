@@ -48,21 +48,19 @@ type runConfig struct {
 //	                 goroutine cluster (user threads + dispatcher)
 //	                 exchanging messages over in-process queues in
 //	                 real time
-//	"tcp"            the concurrent runtime with delivery over
-//	                 loopback TCP sockets, one connection per node
-//	                 pair (update acknowledgements are enabled
-//	                 automatically; TCP gives only per-pair FIFO)
 //	"mux"            the concurrent runtime with every node pair's
 //	                 traffic multiplexed over a small fixed set of
 //	                 shared loopback TCP connections (session frames
 //	                 route each message; the connection count does not
 //	                 grow with the node count) and a zero-copy receive
 //	                 path that decodes payloads in place from pooled
-//	                 buffers. Per-pair FIFO like "tcp", so update
+//	                 buffers. Sockets give only per-pair FIFO, so update
 //	                 acknowledgements are enabled automatically.
 //
-// The protocol code is identical on all four; on the live transports
-// Stats times are wall-clock, not modeled.
+// The protocol code is identical on all three; on the live transports
+// Stats times are wall-clock, not modeled. The retired "tcp" transport
+// (one socket per node pair) is rejected with a *TransportError naming
+// "mux", which replaces it.
 func WithTransport(name string) RunOption {
 	return func(c *runConfig) { c.transport = name }
 }
@@ -207,9 +205,11 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 		return cfg, fmt.Errorf("munin: barrier tree fanout %d below 2", cfg.barrierFanout)
 	}
 	switch cfg.transport {
-	case "", TransportSim, TransportChan, TransportTCP, TransportMux:
+	case "", TransportSim, TransportChan, TransportMux:
+	case "tcp":
+		return cfg, &TransportError{Name: cfg.transport, Use: TransportMux}
 	default:
-		return cfg, errUnknownTransport(cfg.transport)
+		return cfg, &TransportError{Name: cfg.transport}
 	}
 	if cfg.delayWindowSet && cfg.delayWindow <= 0 {
 		return cfg, fmt.Errorf("munin: delay window %d is not positive", cfg.delayWindow)
@@ -245,12 +245,19 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 	return cfg, nil
 }
 
-// errUnknownTransport is the one definition of the bad-transport error:
-// resolve validates with it before the program is sealed, and
-// newTransport's defensive default reuses it so the two switches cannot
-// drift apart in what they report.
-func errUnknownTransport(name string) error {
-	return fmt.Errorf("munin: unknown transport %q (want sim, chan, tcp or mux)", name)
+// TransportError is the configuration error Run returns for a
+// WithTransport name it does not accept. Use names the transport that
+// replaces a retired one, and is empty for a name Munin never had.
+type TransportError struct {
+	Name string
+	Use  string
+}
+
+func (e *TransportError) Error() string {
+	if e.Use != "" {
+		return fmt.Sprintf("munin: transport %q was retired; use %q, which replaces it", e.Name, e.Use)
+	}
+	return fmt.Sprintf("munin: unknown transport %q (want sim, chan or mux)", e.Name)
 }
 
 // newTransport builds the transport the run configuration names (already
@@ -262,12 +269,10 @@ func newTransport(cfg runConfig) (xrt.Transport, error) {
 		return xrt.NewSim(cfg.model, cfg.procs), nil
 	case TransportChan:
 		return xrt.NewChan(cfg.model, cfg.procs), nil
-	case TransportTCP:
-		return xrt.NewTCP(cfg.model, cfg.procs)
 	case TransportMux:
 		return xrt.NewMux(cfg.model, cfg.procs)
 	default:
-		return nil, errUnknownTransport(cfg.transport)
+		return nil, &TransportError{Name: cfg.transport}
 	}
 }
 
@@ -278,7 +283,7 @@ func newTransport(cfg runConfig) (xrt.Transport, error) {
 // concurrently — on one Program, with per-run knobs supplied as options.
 //
 // The context cancels a run in flight: on the live transports ("chan",
-// "tcp") every node observes the cancellation and unwinds; on the
+// "mux") every node observes the cancellation and unwinds; on the
 // simulator the event loop stops between events. A canceled run returns
 // ctx.Err().
 //
