@@ -37,23 +37,10 @@ type codec struct {
 	err  error  // decoding and viewing: the first failure
 }
 
-func (c *codec) decodes() bool { return c.mode >= decoding }
-
 func (c *codec) fail() {
 	if c.err == nil {
 		c.err = ErrCorrupt
 	}
-}
-
-// take consumes the next n input bytes, or fails and returns nil.
-func (c *codec) take(n int) []byte {
-	if c.err != nil || len(c.b) < n {
-		c.fail()
-		return nil
-	}
-	p := c.b[:n]
-	c.b = c.b[n:]
-	return p
 }
 
 func (c *codec) u8(v *uint8) {
@@ -63,8 +50,11 @@ func (c *codec) u8(v *uint8) {
 	case sizing:
 		c.n++
 	case decoding, viewing:
-		if p := c.take(1); p != nil {
-			*v = p[0]
+		if c.err == nil && len(c.b) >= 1 {
+			*v = c.b[0]
+			c.b = c.b[1:]
+		} else {
+			c.fail()
 		}
 	}
 }
@@ -76,8 +66,11 @@ func (c *codec) u32(v *uint32) {
 	case sizing:
 		c.n += 4
 	case decoding, viewing:
-		if p := c.take(4); p != nil {
-			*v = binary.LittleEndian.Uint32(p)
+		if c.err == nil && len(c.b) >= 4 {
+			*v = binary.LittleEndian.Uint32(c.b)
+			c.b = c.b[4:]
+		} else {
+			c.fail()
 		}
 	}
 }
@@ -89,8 +82,11 @@ func (c *codec) u64(v *uint64) {
 	case sizing:
 		c.n += 8
 	case decoding, viewing:
-		if p := c.take(8); p != nil {
-			*v = binary.LittleEndian.Uint64(p)
+		if c.err == nil && len(c.b) >= 8 {
+			*v = binary.LittleEndian.Uint64(c.b)
+			c.b = c.b[8:]
+		} else {
+			c.fail()
 		}
 	}
 }
@@ -140,14 +136,19 @@ func (c *codec) bytes(v *[]byte) {
 	case owning:
 		*v = append([]byte(nil), *v...)
 	case decoding, viewing:
-		p := c.take(int(n))
-		if len(p) == 0 {
+		if c.err != nil || len(c.b) < int(n) {
+			c.fail()
+			return
+		}
+		p := c.b[:n:n]
+		c.b = c.b[n:]
+		if n == 0 {
 			return
 		}
 		if c.mode == decoding {
 			p = append([]byte(nil), p...)
 		}
-		*v = p[:len(p):len(p)]
+		*v = p
 	}
 }
 
@@ -170,7 +171,7 @@ func (c *codec) payload(full, diff *[]byte) {
 func list[T any](c *codec, v *[]T, elem int) []T {
 	n := uint32(len(*v))
 	c.u32(&n)
-	if c.decodes() && n > 0 {
+	if c.mode >= decoding && n > 0 {
 		if c.err != nil || len(c.b) < elem*int(n) {
 			c.fail()
 			return nil
@@ -180,15 +181,29 @@ func list[T any](c *codec, v *[]T, elem int) []T {
 	return *v
 }
 
-func (c *codec) addrs(v *[]vm.Addr) {
-	for i := range list(c, v, 4) {
-		c.addr(&(*v)[i])
-	}
-}
+func (c *codec) addrs(v *[]vm.Addr) { words(c, v) }
 
-func (c *codec) u32s(v *[]uint32) {
-	for i := range list(c, v, 4) {
-		c.u32(&(*v)[i])
+func (c *codec) u32s(v *[]uint32) { words(c, v) }
+
+// words walks a list of u32 values (addresses, vector timestamps) one
+// mode decision per list rather than per element: these lists grow with
+// the machine, and a field call per entry dominated the lazy engine's
+// codec time.
+func words[T ~uint32](c *codec, v *[]T) {
+	w := list(c, v, 4)
+	switch c.mode {
+	case encoding:
+		for _, x := range w {
+			c.b = binary.LittleEndian.AppendUint32(c.b, uint32(x))
+		}
+	case sizing:
+		c.n += 4 * len(w)
+	case decoding, viewing:
+		// list checked that the input holds all len(w) values.
+		for i := range w {
+			w[i] = T(binary.LittleEndian.Uint32(c.b[4*i:]))
+		}
+		c.b = c.b[4*len(w):]
 	}
 }
 

@@ -240,8 +240,8 @@ func (m *OwnReq) walk(c *codec) {
 }
 
 // OwnReply grants ownership: object data plus the copyset the new owner
-// must invalidate. Copysets travel in a two-form encoding (see the set
-// encoder): the single-word inline form for sets confined to nodes
+// must invalidate. Copysets travel in a two-form encoding (see
+// codec.set): the single-word inline form for sets confined to nodes
 // 0–63 — byte-identical to the codec's original fixed u64 layout — and
 // an escape-marked varint node list past that.
 type OwnReply struct {
