@@ -181,14 +181,9 @@ func list[T any](c *codec, v *[]T, elem int) []T {
 	return *v
 }
 
-func (c *codec) addrs(v *[]vm.Addr) { words(c, v) }
-
-func (c *codec) u32s(v *[]uint32) { words(c, v) }
-
-// words walks a list of u32 values (addresses, vector timestamps) one
-// mode decision per list rather than per element: these lists grow with
-// the machine, and a field call per entry dominated the lazy engine's
-// codec time.
+// words walks a list of u32 values (addresses, vector timestamps) with
+// one mode decision per list rather than per element: vector timestamps
+// grow with the machine, up to 256 entries per lazy message.
 func words[T ~uint32](c *codec, v *[]T) {
 	w := list(c, v, 4)
 	switch c.mode {

@@ -335,7 +335,7 @@ type CopysetQuery struct {
 
 func (m *CopysetQuery) walk(c *codec) {
 	c.u8(&m.From)
-	c.addrs(&m.Addrs)
+	words(c, &m.Addrs)
 }
 
 // CopysetReply returns the subset of queried objects the sender holds.
@@ -344,7 +344,7 @@ type CopysetReply struct {
 }
 
 func (m *CopysetReply) walk(c *codec) {
-	c.addrs(&m.Addrs)
+	words(c, &m.Addrs)
 }
 
 // ReduceReq forwards a Fetch-and-Φ to the reduction object's fixed owner.
@@ -535,7 +535,7 @@ type CopysetLookup struct {
 
 func (m *CopysetLookup) walk(c *codec) {
 	c.u8(&m.From)
-	c.addrs(&m.Addrs)
+	words(c, &m.Addrs)
 }
 
 // CopysetInfo is the home's reply to a CopysetLookup: the tracked
@@ -547,7 +547,7 @@ type CopysetInfo struct {
 }
 
 func (m *CopysetInfo) walk(c *codec) {
-	c.addrs(&m.Addrs)
+	words(c, &m.Addrs)
 	for i := range list(c, &m.Sets, 8) {
 		c.set(&m.Sets[i])
 	}
@@ -650,7 +650,7 @@ type LrcInterval struct {
 func (iv *LrcInterval) walk(c *codec) {
 	c.u8(&iv.Node)
 	c.u32(&iv.Ivl)
-	c.addrs(&iv.Addrs)
+	words(c, &iv.Addrs)
 }
 
 // LrcRecord is one stored diff: the writes one node made to one object
@@ -670,7 +670,7 @@ type LrcRecord struct {
 func (r *LrcRecord) walk(c *codec) {
 	c.u32(&r.First)
 	c.u32(&r.Last)
-	c.u32s(&r.VT)
+	words(c, &r.VT)
 	c.payload(&r.Full, &r.Diff)
 }
 
@@ -699,7 +699,7 @@ type LrcLockAcq struct {
 func (m *LrcLockAcq) walk(c *codec) {
 	c.u32(&m.Lock)
 	c.u8(&m.Requester)
-	c.u32s(&m.VT)
+	words(c, &m.VT)
 }
 
 // LrcLockSetSucc is LockSetSucc under the lazy engine: the successor's
@@ -713,7 +713,7 @@ type LrcLockSetSucc struct {
 func (m *LrcLockSetSucc) walk(c *codec) {
 	c.u32(&m.Lock)
 	c.u8(&m.Succ)
-	c.u32s(&m.VT)
+	words(c, &m.VT)
 }
 
 // LrcLockGrant is the acquire-with-notices grant: lock ownership plus the
@@ -732,7 +732,7 @@ type LrcLockGrant struct {
 func (m *LrcLockGrant) walk(c *codec) {
 	c.u32(&m.Lock)
 	c.u8(&m.Tail)
-	c.u32s(&m.VT)
+	words(c, &m.VT)
 	c.intervals(&m.Notices)
 	c.updates(&m.Updates)
 }
@@ -753,8 +753,8 @@ type LrcBarrierArrive struct {
 func (m *LrcBarrierArrive) walk(c *codec) {
 	c.u32(&m.Barrier)
 	c.u8(&m.From)
-	c.u32s(&m.VT)
-	c.u32s(&m.Floors)
+	words(c, &m.VT)
+	words(c, &m.Floors)
 	c.intervals(&m.Notices)
 }
 
@@ -774,7 +774,7 @@ func (m *LrcBarrierRelease) walk(c *codec) {
 	c.u32(&m.Barrier)
 	c.boolean(&m.Tree)
 	c.bytes(&m.Subtree)
-	c.u32s(&m.VT)
+	words(c, &m.VT)
 	c.intervals(&m.Notices)
 }
 
@@ -792,8 +792,8 @@ type LrcDiffReq struct {
 func (m *LrcDiffReq) walk(c *codec) {
 	c.u8(&m.Requester)
 	c.u32(&m.Token)
-	c.addrs(&m.Addrs)
-	c.u32s(&m.After)
+	words(c, &m.Addrs)
+	words(c, &m.After)
 }
 
 // LrcDiffResp answers an LrcDiffReq with the requested records per object.
@@ -836,7 +836,7 @@ type LrcFetchResp struct {
 func (m *LrcFetchResp) walk(c *codec) {
 	c.addr(&m.Addr)
 	c.u32(&m.Token)
-	c.u32s(&m.Applied)
+	words(c, &m.Applied)
 	c.bytes(&m.Data)
 }
 
@@ -850,7 +850,7 @@ type LrcGC struct {
 }
 
 func (m *LrcGC) walk(c *codec) {
-	c.u32s(&m.Floors)
+	words(c, &m.Floors)
 }
 
 // --- Batching envelope ---
