@@ -234,11 +234,11 @@ const maxWireNode = 1 << 16
 func (c *codec) set(s *nodeset.Set) {
 	switch c.mode {
 	case encoding, sizing:
-		w, inline := s.Inline()
+		lo, inline := s.Inline()
 		if !inline {
-			w = setEscape
+			lo = setEscape
 		}
-		c.u64(&w)
+		c.u64(&lo)
 		if inline {
 			return
 		}
