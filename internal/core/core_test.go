@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"munin/internal/diffenc"
 	"munin/internal/protocol"
 	"munin/internal/vm"
 	"munin/internal/wire"
@@ -658,5 +659,41 @@ func TestSystemTimeSeparatedFromUserTime(t *testing.T) {
 	}
 	if s := sys.NodeSystemTime(0); s == 0 {
 		t.Error("root system time = 0, want serve time")
+	}
+}
+
+// TestUpdateInDirFetchWakeWindowIsStashed replays, deterministically, an
+// interleaving first seen on the mux transport: a writer's copyset query
+// counted this node's directory fetch as a holder, the DirReply then
+// installed the entry, and the writer's diff arrived before the faulting
+// thread woke to take the entry semaphore. The update must wait in the
+// fetch stash for the install, not abort the run for want of a copy.
+func TestUpdateInDirFetchWakeWindowIsStashed(t *testing.T) {
+	const size = 8192
+	decl := Decl{Name: "buf", Start: page(0), Size: size, Annot: protocol.WriteShared, Synchq: -1}
+	decl.Init = words(1)
+	sys := testSystem(t, 2, []Decl{decl}, nil, nil)
+	var got uint32
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(1, "reader", func(w *Thread) {
+			n := w.node
+			n.dirFetch[page(0)] = sys.tr.NewFuture(n.id, "dirfetch")
+			n.completeDirFetch(wire.DirReply{Found: true, Start: page(0), Size: size,
+				Annot: uint8(protocol.WriteShared), Home: 0, Owner: 0})
+			twin, cur := make([]byte, size), make([]byte, size)
+			copy(twin, words(1))
+			copy(cur, words(42))
+			diff, _ := diffenc.Encode(twin, cur)
+			n.serveUpdateBatch(w.proc, 0, wire.UpdateBatch{From: 0,
+				Entries: []wire.UpdateEntry{{Addr: page(0), Size: size, Diff: diff}}}, false)
+			delete(n.dirFetch, page(0))
+			got = w.ReadWord(page(0))
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 42 {
+		t.Errorf("read %d after the fetch installed, want the stashed update's 42", got)
 	}
 }

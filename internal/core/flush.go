@@ -287,10 +287,10 @@ func (n *Node) serveCopysetNotify(m wire.CopysetNotify) {
 }
 
 // serveCopysetQuery reports which of the queried objects this node holds a
-// valid copy of. A fault in progress on the object (its entry semaphore
-// held) counts as holding: the faulting thread is about to install a
-// copy, and release consistency requires the querying writer's updates
-// to reach that copy — they buffer in the fetch stash until the install
+// valid copy of. A fault in progress on the object (Node.faultPending)
+// counts as holding: the faulting thread is about to install a copy, and
+// release consistency requires the querying writer's updates to reach
+// that copy — they buffer in the fetch stash until the install
 // completes. A home node holding only stale-able backing marks it stale
 // (a writer exists now) and remembers the writer as probable owner.
 func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
@@ -307,7 +307,7 @@ func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
 			}
 			continue
 		}
-		if e.Valid || e.Sem.Busy() {
+		if e.Valid || n.faultPending(e) {
 			held = append(held, a)
 			e.AwaitFrom = e.AwaitFrom.Add(int(m.From))
 			continue
@@ -373,7 +373,7 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 			continue
 		}
 		e.AwaitFrom = e.AwaitFrom.Remove(src)
-		if !e.Valid && e.Sem.Busy() {
+		if !e.Valid && n.faultPending(e) {
 			// A local fault on the object is mid-flight: the copy being
 			// fetched must observe this update (the sender's copyset
 			// query counted the fault as a holder). Buffer until the

@@ -584,6 +584,24 @@ func (n *Node) entry(t *Thread, addr vm.Addr) *directory.Entry {
 	return e
 }
 
+// faultPending reports whether a local fault on e is in flight: a thread
+// holds the entry semaphore to fetch the copy, or a thread woken by the
+// directory fetch that installed e has not yet taken the semaphore (its
+// dirFetch mark stays until it runs). In the second window the entry
+// exists but is neither valid nor locked, and a writer's update that
+// counted the fetch as a holder would otherwise find no copy to apply to.
+func (n *Node) faultPending(e *directory.Entry) bool {
+	if e.Sem.Busy() {
+		return true
+	}
+	for _, base := range n.pagesOf(e) {
+		if _, ok := n.dirFetch[base]; ok {
+			return true
+		}
+	}
+	return false
+}
+
 // homeFor returns the node a blind request for addr should be sent to —
 // the node guaranteed to describe the address if any node does. Under
 // the root policy that is node 0 (home for all statically allocated
