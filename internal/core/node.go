@@ -594,7 +594,7 @@ func (n *Node) faultPending(e *directory.Entry) bool {
 	if e.Sem.Busy() {
 		return true
 	}
-	for _, base := range n.pagesOf(e) {
+	for base := n.space.PageBase(e.Start); base < e.End(); base += vm.Addr(n.sys.cfg.PageSize) {
 		if _, ok := n.dirFetch[base]; ok {
 			return true
 		}
