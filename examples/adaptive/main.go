@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -49,7 +50,15 @@ func main() {
 		cfg.Override = &a
 	}
 
-	r, err := apps.MuninPipeline(cfg)
+	app, err := apps.NewPipeline(cfg)
+	if err != nil {
+		log.Fatal("adaptive: ", err)
+	}
+	var opts []munin.RunOption
+	if cfg.Adaptive {
+		opts = append(opts, munin.WithAdaptive())
+	}
+	r, err := app.Run(context.Background(), opts...)
 	if err != nil {
 		log.Fatal("adaptive: ", err)
 	}

@@ -1,8 +1,10 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
+	"munin"
 	"munin/internal/protocol"
 )
 
@@ -69,7 +71,11 @@ func TestMuninMatMulMatchesReference(t *testing.T) {
 	const n = 96
 	ref := MatMulReference(n)
 	for _, procs := range []int{1, 2, 3, 5, 8} {
-		r, err := MuninMatMul(MatMulConfig{Procs: procs, N: n})
+		app, err := NewMatMul(MatMulConfig{Procs: procs, N: n})
+		if err != nil {
+			t.Fatalf("p=%d: %v", procs, err)
+		}
+		r, err := app.Run(context.Background())
 		if err != nil {
 			t.Fatalf("p=%d: %v", procs, err)
 		}
@@ -85,14 +91,17 @@ func TestMuninMatMulMatchesReference(t *testing.T) {
 func TestMuninMatMulSingleObject(t *testing.T) {
 	const n = 96
 	ref := MatMulReference(n)
-	plain, err := MuninMatMul(MatMulConfig{Procs: 4, N: n})
-	if err != nil {
-		t.Fatal(err)
+	var res [2]RunResult
+	for i, single := range []bool{false, true} {
+		app, err := NewMatMul(MatMulConfig{Procs: 4, N: n, Single: single})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i], err = app.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	single, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Single: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, single := res[0], res[1]
 	if single.Check != ref || plain.Check != ref {
 		t.Errorf("checksums %08x/%08x, want %08x", plain.Check, single.Check, ref)
 	}
@@ -104,7 +113,11 @@ func TestMuninMatMulSingleObject(t *testing.T) {
 func TestMuninMatMulExactCopyset(t *testing.T) {
 	const n = 64
 	ref := MatMulReference(n)
-	r, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Exact: true})
+	app, err := NewMatMul(MatMulConfig{Procs: 4, N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := app.Run(context.Background(), munin.WithExactCopyset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +129,12 @@ func TestMuninMatMulExactCopyset(t *testing.T) {
 func TestMuninMatMulOverrides(t *testing.T) {
 	const n = 64
 	ref := MatMulReference(n)
+	app, err := NewMatMul(MatMulConfig{Procs: 4, N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, a := range []protocol.Annotation{protocol.WriteShared, protocol.Conventional} {
-		a := a
-		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Override: &a})
+		r, err := app.Run(context.Background(), munin.WithOverride(a))
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -147,7 +163,11 @@ var sorConfigs = []SORConfig{
 func TestMuninSORMatchesReference(t *testing.T) {
 	for _, cfg := range sorConfigs {
 		ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-		r, err := MuninSOR(cfg)
+		app, err := NewSOR(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		r, err := app.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -159,11 +179,15 @@ func TestMuninSORMatchesReference(t *testing.T) {
 
 func TestMuninSORExactCopyset(t *testing.T) {
 	for _, cfg := range []SORConfig{
-		{Procs: 4, Rows: 16, Cols: 2048, Iters: 4, Exact: true},
-		{Procs: 3, Rows: 20, Cols: 512, Iters: 5, Exact: true},
+		{Procs: 4, Rows: 16, Cols: 2048, Iters: 4},
+		{Procs: 3, Rows: 20, Cols: 512, Iters: 5},
 	} {
 		ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-		r, err := MuninSOR(cfg)
+		app, err := NewSOR(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		r, err := app.Run(context.Background(), munin.WithExactCopyset())
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -173,17 +197,22 @@ func TestMuninSORExactCopyset(t *testing.T) {
 	}
 }
 
+// The remaining SOR tests share one small Program, run under different
+// per-run options.
+var sorSmall = SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4}
+
 func TestMuninSORWriteSharedOverride(t *testing.T) {
 	// Write-shared keeps release-consistent update semantics, so the
 	// computation is identical to producer-consumer.
-	ws := protocol.WriteShared
-	cfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4, Override: &ws}
-	ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-	r, err := MuninSOR(cfg)
+	app, err := NewSOR(sorSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Check != ref {
+	r, err := app.Run(context.Background(), munin.WithOverride(protocol.WriteShared))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := SORReference(sorSmall.Rows, sorSmall.Cols, sorSmall.Iters); r.Check != ref {
 		t.Errorf("checksum %08x, want %08x", r.Check, ref)
 	}
 }
@@ -194,9 +223,11 @@ func TestMuninSORConventionalCompletes(t *testing.T) {
 	// same-iteration neighbour values, so the finite-iteration result can
 	// differ from the reference. The run must still complete and produce
 	// a finite grid.
-	conv := protocol.Conventional
-	cfg := SORConfig{Procs: 4, Rows: 20, Cols: 512, Iters: 5, Override: &conv}
-	r, err := MuninSOR(cfg)
+	app, err := NewSOR(SORConfig{Procs: 4, Rows: 20, Cols: 512, Iters: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := app.Run(context.Background(), munin.WithOverride(protocol.Conventional))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +237,11 @@ func TestMuninSORConventionalCompletes(t *testing.T) {
 }
 
 func TestMuninSORStatsPopulated(t *testing.T) {
-	cfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4}
-	r, err := MuninSOR(cfg)
+	app, err := NewSOR(sorSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := app.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,16 +257,16 @@ func TestMuninSORStatsPopulated(t *testing.T) {
 }
 
 func TestBadConfigsRejected(t *testing.T) {
-	if _, err := MuninMatMul(MatMulConfig{Procs: 0, N: 8}); err == nil {
+	if _, err := NewMatMul(MatMulConfig{Procs: 0, N: 8}); err == nil {
 		t.Error("zero procs accepted")
 	}
-	if _, err := MuninMatMul(MatMulConfig{Procs: 2, N: 0}); err == nil {
+	if _, err := NewMatMul(MatMulConfig{Procs: 2, N: 0}); err == nil {
 		t.Error("zero dimension accepted")
 	}
-	if _, err := MuninSOR(SORConfig{Procs: 2, Rows: 8, Cols: 8, Iters: 0}); err == nil {
+	if _, err := NewSOR(SORConfig{Procs: 2, Rows: 8, Cols: 8, Iters: 0}); err == nil {
 		t.Error("zero iterations accepted")
 	}
-	if _, err := MuninSOR(SORConfig{Procs: -1, Rows: 8, Cols: 8, Iters: 1}); err == nil {
+	if _, err := NewSOR(SORConfig{Procs: -1, Rows: 8, Cols: 8, Iters: 1}); err == nil {
 		t.Error("negative procs accepted")
 	}
 }

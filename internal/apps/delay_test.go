@@ -91,7 +91,7 @@ func TestDelayWindowTransports(t *testing.T) {
 // TestDelayWindowLazy checks the window composes with the lazy release
 // consistency engine (both reshape traffic; neither may change values).
 func TestDelayWindowLazy(t *testing.T) {
-	cfg := LockHeavyConfig{Procs: 6, Lazy: true}
+	cfg := LockHeavyConfig{Procs: 6}
 	app, err := NewLockHeavy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestDelayWindowLazy(t *testing.T) {
 	want := LockHeavyReference(cfg)
 	for _, tr := range []string{"sim", "mux"} {
 		r, err := app.Run(context.Background(),
-			munin.WithTransport(tr), munin.WithDelayWindow(20000))
+			munin.WithTransport(tr), munin.WithDelayWindow(20000), munin.WithConsistency(munin.LazyRC))
 		if err != nil {
 			t.Fatalf("%s lazy windowed: %v", tr, err)
 		}

@@ -1,7 +1,7 @@
 package apps
 
 // Demo workloads: small, screenful-sized programs built as reusable Apps
-// so cmd/munin-trace and the tests share one table-driven registry with
+// so cmd/munin-run and the tests share one table-driven registry with
 // the evaluation applications instead of each tool hard-coding its own.
 // Every demo self-checks its output through App.Check, so tracing a
 // protocol never silently traces a wrong run.
@@ -31,7 +31,7 @@ func (c DemoConfig) withDefaults() DemoConfig {
 
 // Demo is one registry entry: a named, described workload constructor.
 type Demo struct {
-	// Name selects the demo (munin-trace -workload).
+	// Name selects the demo (munin-run -app).
 	Name string
 	// Desc is the one-line description the registry listing prints.
 	Desc string
@@ -73,15 +73,6 @@ func Demos() []Demo {
 			New:      NewReductionDemo,
 		},
 		{
-			Name:     "matmul",
-			Desc:     "a tiny matrix multiply: the full read-only / result protocol flow in a screenful",
-			MinProcs: 2,
-			New: func(c DemoConfig) (*App, error) {
-				c = c.withDefaults()
-				return NewMatMul(MatMulConfig{Procs: c.Procs, N: 64, Model: c.Model})
-			},
-		},
-		{
 			Name:     "adaptive",
 			Desc:     "an unhinted buffer starts conventional; the engine observes the ping-pong and switches it online",
 			MinProcs: 2,
@@ -96,15 +87,6 @@ func Demos() []Demo {
 			New: func(c DemoConfig) (*App, error) {
 				c = c.withDefaults()
 				return NewPipeline(PipelineConfig{Procs: c.Procs, Adaptive: true, Model: c.Model})
-			},
-		},
-		{
-			Name:     "lockheavy",
-			Desc:     "fine-grained lock-protected sharing in a ring of pairs — the lazy engine's motivating workload",
-			MinProcs: 2,
-			New: func(c DemoConfig) (*App, error) {
-				c = c.withDefaults()
-				return NewLockHeavy(LockHeavyConfig{Procs: c.Procs, Rounds: 4, Model: c.Model})
 			},
 		},
 	}
@@ -206,7 +188,11 @@ const demoPhases = 8
 
 // demoExchange builds the shared producer-consumer skeleton of the
 // phased demos: node 0 writes the first words of a page each phase, the
-// other nodes read them back, with two barriers per phase. The declared
+// other nodes read them back, with two barriers per phase. The consumers
+// first read the page before the producer's first release, so the flush
+// at that release finds them in the copyset; a stable-sharing annotation
+// locks the copyset in at that flush, and a consumer first faulting
+// after it would violate the determined pattern (§2.3.2). The declared
 // annotation is the only difference between the two demos using it.
 func demoExchange(c DemoConfig, annot protocol.Annotation, phases int) (*App, error) {
 	if c.Procs < 2 || c.Procs > munin.MaxProcessors {
@@ -220,6 +206,10 @@ func demoExchange(c DemoConfig, annot protocol.Annotation, phases int) (*App, er
 		for w := 0; w < procs; w++ {
 			w := w
 			root.Spawn(w, fmt.Sprintf("worker%d", w), func(t *munin.Thread) {
+				if w != 0 {
+					_ = data.Get(t, 0)
+				}
+				bar.Wait(t) // every consumer holds a copy before the first write
 				for ph := 0; ph < phases; ph++ {
 					if w == 0 {
 						for i := 0; i < 8; i++ {
@@ -234,7 +224,7 @@ func demoExchange(c DemoConfig, annot protocol.Annotation, phases int) (*App, er
 				}
 			})
 		}
-		for ph := 0; ph < 2*phases; ph++ {
+		for ph := 0; ph < 1+2*phases; ph++ {
 			bar.Wait(root)
 		}
 	}

@@ -105,46 +105,67 @@ func TestLazyEquivalenceSim(t *testing.T) {
 // matmul override also exercises lazy management of the output matrix).
 func TestLazyEquivalenceLive(t *testing.T) {
 	ws := protocol.WriteShared
+	mm, err := NewMatMul(MatMulConfig{Procs: 4, N: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sor, err := NewSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3, PhaseBarrier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := NewPipeline(PipelineConfig{Procs: 4, Override: &ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lhc := LockHeavyConfig{Procs: 8}
+	lh, err := NewLockHeavy(lhc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsp, err := NewTSP(TSPConfig{Procs: 8, Cities: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tr := range []string{"chan", "mux"} {
-		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: 32, Override: &ws, Lazy: true, Transport: tr})
+		lazy := []munin.RunOption{munin.WithConsistency(munin.LazyRC), munin.WithTransport(tr)}
+		r, err := mm.Run(context.Background(), append(lazy, munin.WithOverride(ws))...)
 		if err != nil {
 			t.Fatalf("%s matmul: %v", tr, err)
 		}
 		if want := MatMulReference(32); r.Check != want {
 			t.Errorf("%s matmul %08x, want %08x", tr, r.Check, want)
 		}
-		s, err := MuninSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3, PhaseBarrier: true, Lazy: true, Transport: tr})
+		s, err := sor.Run(context.Background(), lazy...)
 		if err != nil {
 			t.Fatalf("%s sor: %v", tr, err)
 		}
 		if want := SORReference(24, 64, 3); s.Check != want {
 			t.Errorf("%s sor %08x, want %08x", tr, s.Check, want)
 		}
-		p, err := MuninPipeline(PipelineConfig{Procs: 4, Override: &ws, Lazy: true, Transport: tr})
+		p, err := pipe.Run(context.Background(), lazy...)
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}
 		if want := PipelineReference(PipelineConfig{Procs: 4}.withDefaults()); p.Check != want {
 			t.Errorf("%s pipeline %08x, want %08x", tr, p.Check, want)
 		}
-		lhc := LockHeavyConfig{Procs: 8, Lazy: true, Transport: tr}
-		lh, err := MuninLockHeavy(lhc)
+		l, err := lh.Run(context.Background(), lazy...)
 		if err != nil {
 			t.Fatalf("%s lockheavy: %v", tr, err)
 		}
-		if want := LockHeavyReference(lhc); lh.Check != want {
-			t.Errorf("%s lockheavy %08x, want %08x", tr, lh.Check, want)
+		if want := LockHeavyReference(lhc); l.Check != want {
+			t.Errorf("%s lockheavy %08x, want %08x", tr, l.Check, want)
 		}
 		// TSP has no lazily managed data: the lazy run must still find
 		// the optimum through the untouched eager protocols (8 nodes:
 		// the lock-contention level that once exposed stale-hint
 		// cycles).
-		tsp, err := MuninTSP(TSPConfig{Procs: 8, Cities: 8, Lazy: true, Transport: tr})
+		b, err := tsp.Run(context.Background(), lazy...)
 		if err != nil {
 			t.Fatalf("%s tsp: %v", tr, err)
 		}
-		if want := uint32(TSPReference(8)); tsp.Check != want {
-			t.Errorf("%s tsp %d, want %d", tr, tsp.Check, want)
+		if want := uint32(TSPReference(8)); b.Check != want {
+			t.Errorf("%s tsp %d, want %d", tr, b.Check, want)
 		}
 	}
 }
@@ -176,7 +197,11 @@ func TestLazyFewerMessages(t *testing.T) {
 // (after the home pages everything in) must reclaim applied diff
 // records.
 func TestLazyGarbageCollection(t *testing.T) {
-	r, err := MuninLockHeavy(LockHeavyConfig{Procs: 6, Lazy: true})
+	app, err := NewLockHeavy(LockHeavyConfig{Procs: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := app.Run(context.Background(), munin.WithConsistency(munin.LazyRC))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ package apps
 // the round diffs (LrcRecordsGCed > 0 on a lazy run).
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
@@ -32,29 +31,18 @@ import (
 	"munin/internal/sim"
 )
 
-// LockHeavyConfig parameterizes a lock-heavy run.
+// LockHeavyConfig shapes a lock-heavy Program.
 type LockHeavyConfig struct {
-	// Procs is the number of processors (2–16), one ring pair per node.
+	// Procs is the number of processors, 2–munin.MaxProcessors, one ring
+	// pair per node.
 	Procs int
 	// Rounds is the number of critical-section rounds (default 12).
 	Rounds int
 	// Model is the cost model (zero = default).
 	Model model.CostModel
-	// Override forces one annotation on the shared regions (the natural
-	// annotation is write_shared).
+	// Override replaces the regions' declared annotation (the natural
+	// one is write_shared).
 	Override *protocol.Annotation
-	// Adaptive enables the adaptive protocol engine.
-	Adaptive bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 }
 
 func (c LockHeavyConfig) withDefaults() LockHeavyConfig {
@@ -184,15 +172,4 @@ func NewLockHeavy(c LockHeavyConfig) (*App, error) {
 		return sum, nil
 	}
 	return &App{Prog: prog, Root: root, Check: check, Model: c.Model}, nil
-}
-
-// MuninLockHeavy builds the lock-heavy App and runs it once under the
-// config's per-run knobs.
-func MuninLockHeavy(c LockHeavyConfig) (RunResult, error) {
-	app, err := NewLockHeavy(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, false, c.Lazy), c.Batch), c.Metrics)...)
 }

@@ -11,7 +11,6 @@ package apps
 // online as the phases shift.
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
@@ -20,9 +19,9 @@ import (
 	"munin/internal/sim"
 )
 
-// PipelineConfig parameterizes a pipeline run.
+// PipelineConfig shapes a pipeline Program.
 type PipelineConfig struct {
-	// Procs is the number of processors (4–16).
+	// Procs is the number of processors, 4–munin.MaxProcessors.
 	Procs int
 	// Pages is the shared buffer size in 8 KB pages (default 2).
 	Pages int
@@ -30,22 +29,12 @@ type PipelineConfig struct {
 	Rounds1, Rounds2 int
 	// Model is the cost model (zero = default).
 	Model model.CostModel
-	// Override forces the buffer's annotation. Nil means: the paper's
-	// phase-1 hint (producer_consumer) when not adaptive, or no hint at
-	// all (munin.Adaptive) when adaptive.
+	// Override replaces the buffer's declared annotation.
 	Override *protocol.Annotation
-	// Adaptive enables the adaptive protocol engine.
+	// Adaptive declares the buffer with no hint at all (munin.Adaptive)
+	// in place of the paper's phase-1 hint (producer_consumer) when
+	// Override is nil. Such a Program needs munin.WithAdaptive at run.
 	Adaptive bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 }
 
 // pipeline constants: the producer fills prodWords words per page in
@@ -214,15 +203,4 @@ func NewPipeline(c PipelineConfig) (*App, error) {
 		return got, nil
 	}
 	return &App{Prog: prog, Root: root, Check: check, Model: c.Model}, nil
-}
-
-// MuninPipeline builds the pipeline App and runs it once under the
-// config's per-run knobs.
-func MuninPipeline(c PipelineConfig) (RunResult, error) {
-	app, err := NewPipeline(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, nil, c.Adaptive, false, c.Lazy), c.Batch), c.Metrics)...)
 }

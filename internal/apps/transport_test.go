@@ -46,8 +46,12 @@ func sameImage(t *testing.T, label string, ref, got RunResult) {
 }
 
 func TestEquivalenceMatMul(t *testing.T) {
+	app, err := NewMatMul(MatMulConfig{Procs: 4, N: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(tr string) RunResult {
-		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: 48, Transport: tr})
+		r, err := app.Run(context.Background(), munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s matmul: %v", tr, err)
 		}
@@ -64,10 +68,12 @@ func TestEquivalenceMatMul(t *testing.T) {
 
 func TestEquivalenceSOR(t *testing.T) {
 	cfg := SORConfig{Procs: 4, Rows: 32, Cols: 64, Iters: 6, PhaseBarrier: true}
+	app, err := NewSOR(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(tr string) RunResult {
-		c := cfg
-		c.Transport = tr
-		r, err := MuninSOR(c)
+		r, err := app.Run(context.Background(), munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s sor: %v", tr, err)
 		}
@@ -87,10 +93,12 @@ func TestEquivalencePipeline(t *testing.T) {
 	// the whole final memory image must match byte for byte.
 	ws := protocol.WriteShared
 	cfg := PipelineConfig{Procs: 4, Override: &ws}
+	app, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(tr string) RunResult {
-		c := cfg
-		c.Transport = tr
-		r, err := MuninPipeline(c)
+		r, err := app.Run(context.Background(), munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}
@@ -107,10 +115,12 @@ func TestEquivalencePipeline(t *testing.T) {
 
 func TestEquivalencePipelineAdaptive(t *testing.T) {
 	cfg := PipelineConfig{Procs: 4, Adaptive: true}
+	app, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func(tr string) RunResult {
-		c := cfg
-		c.Transport = tr
-		r, err := MuninPipeline(c)
+		r, err := app.Run(context.Background(), munin.WithTransport(tr), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}
@@ -139,17 +149,24 @@ func TestEquivalencePipelineAdaptive(t *testing.T) {
 func TestEquivalenceRepeat(t *testing.T) {
 	mmRef := MatMulReference(32)
 	sorRef := SORReference(24, 64, 3)
+	mmApp, err := NewMatMul(MatMulConfig{Procs: 4, N: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorApp, err := NewSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3, PhaseBarrier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for rep := 0; rep < 3; rep++ {
 		for _, tr := range transportsUnderTest {
-			mm, err := MuninMatMul(MatMulConfig{Procs: 4, N: 32, Transport: tr})
+			mm, err := mmApp.Run(context.Background(), munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("rep %d %s matmul: %v", rep, tr, err)
 			}
 			if mm.Check != mmRef {
 				t.Errorf("rep %d %s matmul checksum %08x, want %08x", rep, tr, mm.Check, mmRef)
 			}
-			sor, err := MuninSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3,
-				PhaseBarrier: true, Transport: tr})
+			sor, err := sorApp.Run(context.Background(), munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("rep %d %s sor: %v", rep, tr, err)
 			}
@@ -168,9 +185,13 @@ func TestEquivalenceRepeat(t *testing.T) {
 // anchored the home's hint (LockOwnNotify).
 func TestTransportTSP(t *testing.T) {
 	want := uint32(TSPReference(8))
+	app, err := NewTSP(TSPConfig{Procs: 8, Cities: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for rep := 0; rep < 3; rep++ {
 		for _, tr := range transportsUnderTest {
-			r, err := MuninTSP(TSPConfig{Procs: 8, Cities: 8, Transport: tr})
+			r, err := app.Run(context.Background(), munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("%s tsp: %v", tr, err)
 			}
@@ -203,8 +224,12 @@ func TestSORRefusesLiveTransportWithoutPhaseBarrier(t *testing.T) {
 // TestTransportStats sanity-checks wall-clock accounting on the live
 // transports: elapsed time advances and messages flow.
 func TestTransportStats(t *testing.T) {
+	app, err := NewMatMul(MatMulConfig{Procs: 2, N: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tr := range transportsUnderTest {
-		r, err := MuninMatMul(MatMulConfig{Procs: 2, N: 16, Transport: tr})
+		r, err := app.Run(context.Background(), munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
@@ -225,22 +250,34 @@ func TestTransportStats(t *testing.T) {
 // exposed the update-apply/local-store interleaving bug the transports
 // were race-hardened against (see applyUpdate in core/flush.go).
 func TestTransportScale(t *testing.T) {
+	mmApp, err := NewMatMul(MatMulConfig{Procs: 8, N: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sorApp, err := NewSOR(SORConfig{Procs: 16, Rows: 64, Cols: 128, Iters: 8, PhaseBarrier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipeApp, err := NewPipeline(PipelineConfig{Procs: 8, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tr := range transportsUnderTest {
-		r, err := MuninMatMul(MatMulConfig{Procs: 8, N: 96, Transport: tr})
+		r, err := mmApp.Run(context.Background(), munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s matmul: %v", tr, err)
 		}
 		if ref := MatMulReference(96); r.Check != ref {
 			t.Errorf("%s matmul %08x != %08x", tr, r.Check, ref)
 		}
-		s, err := MuninSOR(SORConfig{Procs: 16, Rows: 64, Cols: 128, Iters: 8, Transport: tr})
+		s, err := sorApp.Run(context.Background(), munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s sor: %v", tr, err)
 		}
 		if ref := SORReference(64, 128, 8); s.Check != ref {
 			t.Errorf("%s sor %08x != %08x", tr, s.Check, ref)
 		}
-		p, err := MuninPipeline(PipelineConfig{Procs: 8, Adaptive: true, Transport: tr})
+		p, err := pipeApp.Run(context.Background(), munin.WithTransport(tr), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}

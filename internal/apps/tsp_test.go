@@ -1,6 +1,11 @@
 package apps
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"munin"
+)
 
 func TestTSPReferenceStable(t *testing.T) {
 	// The deterministic instance's optimum; pins the distance matrix and
@@ -17,7 +22,11 @@ func TestMuninTSPMatchesReference(t *testing.T) {
 	for _, cities := range []int{8, 10} {
 		ref := TSPReference(cities)
 		for _, procs := range []int{1, 3, 8} {
-			r, err := MuninTSP(TSPConfig{Procs: procs, Cities: cities})
+			app, err := NewTSP(TSPConfig{Procs: procs, Cities: cities})
+			if err != nil {
+				t.Fatalf("c=%d p=%d: %v", cities, procs, err)
+			}
+			r, err := app.Run(context.Background())
 			if err != nil {
 				t.Fatalf("c=%d p=%d: %v", cities, procs, err)
 			}
@@ -29,24 +38,28 @@ func TestMuninTSPMatchesReference(t *testing.T) {
 }
 
 func TestMuninTSPScales(t *testing.T) {
-	slow, err := MuninTSP(TSPConfig{Procs: 1, Cities: 10})
-	if err != nil {
-		t.Fatal(err)
+	var elapsed [2]munin.Time
+	for i, procs := range []int{1, 8} {
+		app, err := NewTSP(TSPConfig{Procs: procs, Cities: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := app.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		elapsed[i] = r.Elapsed
 	}
-	fast, err := MuninTSP(TSPConfig{Procs: 8, Cities: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Elapsed*2 > slow.Elapsed {
-		t.Errorf("8 procs (%v) not at least 2x faster than 1 (%v)", fast.Elapsed, slow.Elapsed)
+	if slow, fast := elapsed[0], elapsed[1]; fast*2 > slow {
+		t.Errorf("8 procs (%v) not at least 2x faster than 1 (%v)", fast, slow)
 	}
 }
 
 func TestMuninTSPBadConfigRejected(t *testing.T) {
-	if _, err := MuninTSP(TSPConfig{Procs: 0, Cities: 10}); err == nil {
+	if _, err := NewTSP(TSPConfig{Procs: 0, Cities: 10}); err == nil {
 		t.Error("zero procs accepted")
 	}
-	if _, err := MuninTSP(TSPConfig{Procs: 2, Cities: 20}); err == nil {
+	if _, err := NewTSP(TSPConfig{Procs: 2, Cities: 20}); err == nil {
 		t.Error("oversized instance accepted")
 	}
 }

@@ -78,11 +78,38 @@ func (o AblationOpts) withDefaults() AblationOpts {
 	return o
 }
 
-// copysetTraffic sums the copyset-determination messages of a run.
-func copysetTraffic(r apps.RunResult) int {
-	return r.PerKind[wire.KindCopysetQuery] + r.PerKind[wire.KindCopysetReply] +
-		r.PerKind[wire.KindCopysetLookup] + r.PerKind[wire.KindCopysetInfo] +
-		r.PerKind[wire.KindCopysetNotify]
+// copysetDetail reports the copyset-determination messages of a run.
+func copysetDetail(r apps.RunResult) string {
+	return fmt.Sprintf("copyset msgs=%d", r.PerKind[wire.KindCopysetQuery]+r.PerKind[wire.KindCopysetReply]+
+		r.PerKind[wire.KindCopysetLookup]+r.PerKind[wire.KindCopysetInfo]+
+		r.PerKind[wire.KindCopysetNotify])
+}
+
+// sorCase is one configuration of an SOR ablation: its row name and the
+// per-run options that select it.
+type sorCase struct {
+	name string
+	opts []munin.RunOption
+}
+
+// sorRows runs the ablations' SOR Program once per case — one Program,
+// only the per-run options varying — and reports each run as a row.
+func sorRows(o AblationOpts, study string, cases []sorCase, detail func(apps.RunResult) string) ([]AblationRow, error) {
+	app, err := apps.NewSOR(apps.SORConfig{Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model})
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", study, err)
+	}
+	var rows []AblationRow
+	for _, c := range cases {
+		r, err := app.Run(context.Background(), c.opts...)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s %s: %w", study, c.name, err)
+		}
+		rows = append(rows, AblationRow{
+			Name: c.name, Elapsed: r.Elapsed, Messages: r.Messages, Bytes: r.Bytes, Detail: detail(r),
+		})
+	}
+	return rows, nil
 }
 
 // RunAblationA1 quantifies update-versus-invalidate propagation for
@@ -98,30 +125,16 @@ func RunAblationA1(o AblationOpts) (Ablation, error) {
 		Note: fmt.Sprintf("%d procs, %dx%d grid, %d iterations",
 			o.Procs, o.Rows, o.Cols, o.Iters),
 	}
-	ws := protocol.WriteShared
-	inv := protocol.InvalidateShared
-	for _, cfg := range []struct {
-		name     string
-		override *protocol.Annotation
-	}{
-		{"update (write_shared)", &ws},
-		{"delayed invalidate (+)", &inv},
-	} {
-		r, err := apps.MuninSOR(apps.SORConfig{
-			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-			Model: o.Model, Override: cfg.override,
-		})
-		if err != nil {
-			return Ablation{}, fmt.Errorf("bench: A1 %s: %w", cfg.name, err)
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Name: cfg.name, Elapsed: r.Elapsed, Messages: r.Messages, Bytes: r.Bytes,
-			Detail: fmt.Sprintf("read-req=%d update=%d invalidate=%d",
-				r.PerKind[wire.KindReadReq], r.PerKind[wire.KindUpdateBatch],
-				r.PerKind[wire.KindInvalidate]),
-		})
-	}
-	return a, nil
+	rows, err := sorRows(o, "A1", []sorCase{
+		{"update (write_shared)", []munin.RunOption{munin.WithOverride(protocol.WriteShared)}},
+		{"delayed invalidate (+)", []munin.RunOption{munin.WithOverride(protocol.InvalidateShared)}},
+	}, func(r apps.RunResult) string {
+		return fmt.Sprintf("read-req=%d update=%d invalidate=%d",
+			r.PerKind[wire.KindReadReq], r.PerKind[wire.KindUpdateBatch],
+			r.PerKind[wire.KindInvalidate])
+	})
+	a.Rows = rows
+	return a, err
 }
 
 // RunAblationA2 isolates the stable-sharing (S) bit: SOR annotated
@@ -135,27 +148,12 @@ func RunAblationA2(o AblationOpts) (Ablation, error) {
 		Note: fmt.Sprintf("%d procs, %dx%d grid, %d iterations",
 			o.Procs, o.Rows, o.Cols, o.Iters),
 	}
-	ws := protocol.WriteShared
-	for _, cfg := range []struct {
-		name     string
-		override *protocol.Annotation
-	}{
+	rows, err := sorRows(o, "A2", []sorCase{
 		{"producer_consumer (S=Y)", nil},
-		{"write_shared (S=N)", &ws},
-	} {
-		r, err := apps.MuninSOR(apps.SORConfig{
-			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-			Model: o.Model, Override: cfg.override,
-		})
-		if err != nil {
-			return Ablation{}, fmt.Errorf("bench: A2 %s: %w", cfg.name, err)
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Name: cfg.name, Elapsed: r.Elapsed, Messages: r.Messages, Bytes: r.Bytes,
-			Detail: fmt.Sprintf("copyset msgs=%d", copysetTraffic(r)),
-		})
-	}
-	return a, nil
+		{"write_shared (S=N)", []munin.RunOption{munin.WithOverride(protocol.WriteShared)}},
+	}, copysetDetail)
+	a.Rows = rows
+	return a, err
 }
 
 // CriticalSectionResult reports one configuration of the A3 workload.
@@ -438,25 +436,11 @@ func RunAblationA4(o AblationOpts) (Ablation, error) {
 		Note: fmt.Sprintf("%d procs, %dx%d grid, %d iterations",
 			o.Procs, o.Rows, o.Cols, o.Iters),
 	}
-	ws := protocol.WriteShared
-	for _, cfg := range []struct {
-		name  string
-		exact bool
-	}{
-		{"broadcast (prototype)", false},
-		{"home-directed (improved)", true},
-	} {
-		r, err := apps.MuninSOR(apps.SORConfig{
-			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-			Model: o.Model, Override: &ws, Exact: cfg.exact,
-		})
-		if err != nil {
-			return Ablation{}, fmt.Errorf("bench: A4 %s: %w", cfg.name, err)
-		}
-		a.Rows = append(a.Rows, AblationRow{
-			Name: cfg.name, Elapsed: r.Elapsed, Messages: r.Messages, Bytes: r.Bytes,
-			Detail: fmt.Sprintf("copyset msgs=%d", copysetTraffic(r)),
-		})
-	}
-	return a, nil
+	ws := munin.WithOverride(protocol.WriteShared)
+	rows, err := sorRows(o, "A4", []sorCase{
+		{"broadcast (prototype)", []munin.RunOption{ws}},
+		{"home-directed (improved)", []munin.RunOption{ws, munin.WithExactCopyset()}},
+	}, copysetDetail)
+	a.Rows = rows
+	return a, err
 }

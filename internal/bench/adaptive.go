@@ -15,6 +15,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/protocol"
@@ -154,6 +155,23 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	pc := protocol.ProducerConsumer
 
 	t := AdaptiveTable{Procs: o.Procs}
+	// cell is one sweep cell's per-run configuration; every(app) runs one
+	// Program under each cell.
+	cell := func(ov *protocol.Annotation, adaptive bool) []munin.RunOption {
+		opts := []munin.RunOption{munin.WithTransport(o.Transport)}
+		if ov != nil {
+			opts = append(opts, munin.WithOverride(*ov))
+		}
+		if adaptive {
+			opts = append(opts, munin.WithAdaptive())
+		}
+		return opts
+	}
+	every := func(app *apps.App) adaptiveRun {
+		return func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
+			return app.Run(context.Background(), cell(ov, adaptive)...)
+		}
+	}
 
 	mmApp, err := apps.NewMatMul(apps.MatMulConfig{Procs: o.Procs, N: o.N, Model: o.Model})
 	if err != nil {
@@ -161,9 +179,7 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	}
 	t.Rows = append(t.Rows, runAdaptiveRow("matmul",
 		[]*protocol.Annotation{nil, &ws, &conv},
-		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return mmApp.Run(context.Background(), apps.RunOpts(o.Transport, ov, adaptive, false, false)...)
-		}))
+		every(mmApp)))
 
 	sorApp, err := apps.NewSOR(apps.SORConfig{
 		Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model,
@@ -174,9 +190,7 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	}
 	t.Rows = append(t.Rows, runAdaptiveRow("sor-fs",
 		[]*protocol.Annotation{nil, &ws, &conv},
-		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return sorApp.Run(context.Background(), apps.RunOpts(o.Transport, ov, adaptive, false, false)...)
-		}))
+		every(sorApp)))
 
 	// The phase-changing pipeline has no "correct" single annotation:
 	// the statics sweep every plausible hint (producer_consumer — the
@@ -189,11 +203,15 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	t.Rows = append(t.Rows, runAdaptiveRow("pipeline",
 		[]*protocol.Annotation{&ws, &conv, &mig, &pc},
 		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return apps.MuninPipeline(apps.PipelineConfig{
+			pipe, err := apps.NewPipeline(apps.PipelineConfig{
 				Procs: pipeProcs, Rounds1: o.Rounds, Rounds2: o.Rounds,
 				Model: model.Default(), Override: ov, Adaptive: adaptive,
-				Transport: o.Transport,
 			})
+			if err != nil {
+				return apps.RunResult{}, err
+			}
+			// The override is the buffer's declaration, not a run option.
+			return pipe.Run(context.Background(), cell(nil, adaptive)...)
 		}))
 
 	// TSP: mis-annotated static runs abort outright (Fetch-and-Φ on a
@@ -210,9 +228,7 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	}
 	t.Rows = append(t.Rows, runAdaptiveRow("tsp",
 		[]*protocol.Annotation{nil, &ws, &conv},
-		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return tspApp.Run(context.Background(), apps.RunOpts(o.Transport, ov, adaptive, false, false)...)
-		}))
+		every(tspApp)))
 
 	return t, nil
 }

@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/protocol"
@@ -112,9 +114,14 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 	ws := protocol.WriteShared
 	mig := protocol.Migratory
 
+	ctx := context.Background()
 	mmRef := apps.MatMulReference(96)
+	mm, err := apps.NewMatMul(apps.MatMulConfig{Procs: 8, N: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ov := range []*protocol.Annotation{&conv, &ws, &mig} {
-		r, err := apps.MuninMatMul(apps.MatMulConfig{Procs: 8, N: 96, Override: ov, Adaptive: true})
+		r, err := mm.Run(ctx, munin.WithOverride(*ov), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("matmul %v adaptive: %v", *ov, err)
 		}
@@ -131,14 +138,18 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 	// Table 6 overrides show), so the sum may drift slightly before the
 	// engine converges; it must stay within relaxation tolerance.
 	sorRef := apps.SORReference(64, 512, 10)
-	rws, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10, Override: &ws, Adaptive: true})
+	sor, err := apps.NewSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rws, err := sor.Run(ctx, munin.WithOverride(ws), munin.WithAdaptive())
 	if err != nil {
 		t.Fatalf("sor write_shared adaptive: %v", err)
 	}
 	if rws.Check != sorRef {
 		t.Errorf("sor write_shared adaptive checksum %08x, want %08x", rws.Check, sorRef)
 	}
-	rconv, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10, Override: &conv, Adaptive: true})
+	rconv, err := sor.Run(ctx, munin.WithOverride(conv), munin.WithAdaptive())
 	if err != nil {
 		t.Fatalf("sor conventional adaptive: %v", err)
 	}
@@ -147,8 +158,12 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 	}
 
 	tspRef := uint32(apps.TSPReference(9))
+	tsp, err := apps.NewTSP(apps.TSPConfig{Procs: 6, Cities: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ov := range []*protocol.Annotation{&conv, &ws} {
-		r, err := apps.MuninTSP(apps.TSPConfig{Procs: 6, Cities: 9, Override: ov, Adaptive: true})
+		r, err := tsp.Run(ctx, munin.WithOverride(*ov), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("tsp %v adaptive: %v", *ov, err)
 		}
@@ -165,7 +180,11 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 		name string
 		ov   *protocol.Annotation
 	}{{"no hint", nil}, {"conventional", &conv}, {"migratory", &mig}} {
-		r, err := apps.MuninPipeline(apps.PipelineConfig{Procs: 8, Override: cfg.ov, Adaptive: true})
+		pipe, err := apps.NewPipeline(apps.PipelineConfig{Procs: 8, Override: cfg.ov, Adaptive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := pipe.Run(ctx, munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("pipeline %s adaptive: %v", cfg.name, err)
 		}
@@ -188,11 +207,16 @@ func relDiff(a, b uint32) float64 {
 // paper's own annotations, no switches fire and the timing is unchanged
 // — correct hints are already the fixed point.
 func TestAdaptiveLeavesCorrectAnnotationsAlone(t *testing.T) {
-	base, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10})
+	ctx := context.Background()
+	sor, err := apps.NewSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10, Adaptive: true})
+	base, err := sor.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := sor.Run(ctx, munin.WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +229,11 @@ func TestAdaptiveLeavesCorrectAnnotationsAlone(t *testing.T) {
 		t.Errorf("adaptive SOR elapsed %v well above static %v", ad.Elapsed, base.Elapsed)
 	}
 
-	tsp, err := apps.MuninTSP(apps.TSPConfig{Procs: 6, Cities: 9, Adaptive: true})
+	tspApp, err := apps.NewTSP(apps.TSPConfig{Procs: 6, Cities: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsp, err := tspApp.Run(ctx, munin.WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}

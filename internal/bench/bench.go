@@ -73,6 +73,19 @@ func (o AppOpts) withDefaults() AppOpts {
 	return o
 }
 
+// runOpts translates the sweep's engine and transport choices into
+// per-run options.
+func (o AppOpts) runOpts() []munin.RunOption {
+	opts := []munin.RunOption{munin.WithTransport(o.Transport)}
+	if o.Adaptive {
+		opts = append(opts, munin.WithAdaptive())
+	}
+	if o.Lazy {
+		opts = append(opts, munin.WithConsistency(munin.LazyRC))
+	}
+	return opts
+}
+
 // AppRow is one processor-count row of Tables 3–5: the hand-coded
 // message-passing ("DM") total, the Munin total with its system/user
 // split on the root node, and the percentage difference.

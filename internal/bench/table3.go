@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/mp"
 )
@@ -29,8 +31,12 @@ func matmulTable(o AppOpts, single bool, title string) (AppTable, error) {
 	ref := apps.MatMulReference(o.N)
 	t := AppTable{Title: title}
 	for _, procs := range o.Procs {
-		cfg := apps.MatMulConfig{Procs: procs, N: o.N, Model: o.Model, Single: single, Adaptive: o.Adaptive, Lazy: o.Lazy, Metrics: true, Transport: o.Transport}
-		mu, err := apps.MuninMatMul(cfg)
+		cfg := apps.MatMulConfig{Procs: procs, N: o.N, Model: o.Model, Single: single}
+		app, err := apps.NewMatMul(cfg)
+		if err != nil {
+			return AppTable{}, fmt.Errorf("bench: munin matmul p=%d: %w", procs, err)
+		}
+		mu, err := app.Run(context.Background(), append(o.runOpts(), munin.WithMetrics())...)
 		if err != nil {
 			return AppTable{}, fmt.Errorf("bench: munin matmul p=%d: %w", procs, err)
 		}
@@ -51,8 +57,13 @@ func RunTable5(o AppOpts) (AppTable, error) {
 	t := AppTable{Title: fmt.Sprintf("Table 5: Performance of SOR (sec), %d x %d, %d iterations",
 		o.Rows, o.Cols, o.Iters)}
 	for _, procs := range o.Procs {
-		cfg := apps.SORConfig{Procs: procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model, Adaptive: o.Adaptive, Lazy: o.Lazy, Metrics: true, Transport: o.Transport}
-		mu, err := apps.MuninSOR(cfg)
+		cfg := apps.SORConfig{Procs: procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model,
+			PhaseBarrier: apps.LiveTransport(o.Transport)}
+		app, err := apps.NewSOR(cfg)
+		if err != nil {
+			return AppTable{}, fmt.Errorf("bench: munin sor p=%d: %w", procs, err)
+		}
+		mu, err := app.Run(context.Background(), append(o.runOpts(), munin.WithMetrics())...)
 		if err != nil {
 			return AppTable{}, fmt.Errorf("bench: munin sor p=%d: %w", procs, err)
 		}

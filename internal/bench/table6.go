@@ -6,6 +6,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/protocol"
@@ -74,7 +75,8 @@ func runTable6(o Table6Opts) (Table6, error) {
 	}
 	sorApp, err := apps.NewSOR(apps.SORConfig{
 		Procs: o.Procs, Rows: a.Rows, Cols: a.Cols, Iters: a.Iters, Model: a.Model,
-		// Live transports need the data-race-free variant (see MuninSOR).
+		// Live transports need the data-race-free variant (see
+		// SORConfig.PhaseBarrier).
 		PhaseBarrier: apps.LiveTransport(a.Transport),
 	})
 	if err != nil {
@@ -82,7 +84,10 @@ func runTable6(o Table6Opts) (Table6, error) {
 	}
 	t := Table6{Procs: o.Procs}
 	for _, cfg := range configs {
-		opts := apps.RunOpts(a.Transport, cfg.Override, a.Adaptive, false, a.Lazy)
+		opts := a.runOpts()
+		if cfg.Override != nil {
+			opts = append(opts, munin.WithOverride(*cfg.Override))
+		}
 		mm, err := mmApp.Run(context.Background(), opts...)
 		if err != nil {
 			return Table6{}, fmt.Errorf("bench: table 6 matmul %s: %w", cfg.Name, err)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"munin/internal/apps"
@@ -19,8 +20,12 @@ func RunTSP(o AppOpts) (AppTable, error) {
 	ref := apps.TSPReference(cities)
 	t := AppTable{Title: fmt.Sprintf("Extra: branch-and-bound TSP (sec), %d cities", cities)}
 	for _, procs := range o.Procs {
-		cfg := apps.TSPConfig{Procs: procs, Cities: cities, Model: o.Model, Adaptive: o.Adaptive, Lazy: o.Lazy, Transport: o.Transport}
-		mu, err := apps.MuninTSP(cfg)
+		cfg := apps.TSPConfig{Procs: procs, Cities: cities, Model: o.Model}
+		app, err := apps.NewTSP(cfg)
+		if err != nil {
+			return AppTable{}, fmt.Errorf("bench: munin tsp p=%d: %w", procs, err)
+		}
+		mu, err := app.Run(context.Background(), o.runOpts()...)
 		if err != nil {
 			return AppTable{}, fmt.Errorf("bench: munin tsp p=%d: %w", procs, err)
 		}

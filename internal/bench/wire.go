@@ -201,8 +201,8 @@ func RunWire(o WireOpts) (WireTable, error) {
 				BatchedMessages:  batched.Messages,
 				PlainBytes:       plain.Bytes,
 				BatchedBytes:     batched.Bytes,
-				Envelopes:        batched.BatchedInto,
-				Riders:           batched.Riders,
+				Envelopes:        batched.BatchEnvelopes,
+				Riders:           batched.BatchedMessages,
 				Windowed:         windowed.Elapsed,
 				WindowedSends:    windowed.Sends,
 				WindowedMessages: windowed.Messages,

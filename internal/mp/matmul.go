@@ -3,6 +3,7 @@ package mp
 import (
 	"fmt"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/sim"
@@ -87,9 +88,7 @@ func MatMul(c apps.MatMulConfig) (apps.RunResult, error) {
 	}
 	st := cl.net.Stats()
 	return apps.RunResult{
-		Elapsed:  cl.sim.Now(),
-		Messages: st.TotalMessages(),
-		Bytes:    st.TotalBytes(),
-		Check:    apps.ChecksumInt32(cOut),
+		Stats: munin.Stats{Elapsed: cl.sim.Now(), Messages: st.TotalMessages(), Bytes: st.TotalBytes()},
+		Check: apps.ChecksumInt32(cOut),
 	}, nil
 }

@@ -3,6 +3,7 @@ package mp
 import (
 	"fmt"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/sim"
@@ -158,10 +159,8 @@ func SOR(c apps.SORConfig) (apps.RunResult, error) {
 	}
 	st := cl.net.Stats()
 	return apps.RunResult{
-		Elapsed:  cl.sim.Now(),
-		Messages: st.TotalMessages(),
-		Bytes:    st.TotalBytes(),
-		Check:    apps.ChecksumFloat32Sum(flat),
+		Stats: munin.Stats{Elapsed: cl.sim.Now(), Messages: st.TotalMessages(), Bytes: st.TotalBytes()},
+		Check: apps.ChecksumFloat32Sum(flat),
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/sim"
@@ -119,10 +120,8 @@ func TSP(c apps.TSPConfig) (apps.RunResult, error) {
 	}
 	st := cl.net.Stats()
 	return apps.RunResult{
-		Elapsed:  cl.sim.Now(),
-		Messages: st.TotalMessages(),
-		Bytes:    st.TotalBytes(),
-		Check:    uint32(best),
+		Stats: munin.Stats{Elapsed: cl.sim.Now(), Messages: st.TotalMessages(), Bytes: st.TotalBytes()},
+		Check: uint32(best),
 	}, nil
 }
 
