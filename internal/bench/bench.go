@@ -1,6 +1,6 @@
 // Package bench regenerates the paper's evaluation: one driver per table
 // of "Implementation and Performance of Munin" (§4), plus the ablations
-// DESIGN.md calls out (A1–A4). Each driver returns a typed result with a
+// DESIGN.md calls out (A1–A6). Each driver returns a typed result with a
 // Format method that prints rows shaped like the published table.
 //
 // Absolute numbers come from the virtual-time cost model, not 1991

@@ -7,9 +7,9 @@ package bench
 // whole copyset at every release, so its per-op traffic grows with the
 // machine, while the lazy engine's demand-pulled diffs keep it near
 // flat. The node count where a series' per-op traffic has doubled over
-// its smallest-machine value is reported as that series' knee; the CI
-// scale gate (munin-benchgate -scale) holds the lazy-below-eager
-// ordering at and past 32 nodes.
+// its smallest-machine value is reported as that series' knee;
+// TestScaleBaseline holds the lazy-below-eager ordering at and past 32
+// nodes, and every committed sweep point, against BENCH_scale.json.
 
 import (
 	"context"
@@ -68,7 +68,7 @@ type ScaleKnee struct {
 }
 
 // ScaleTable is the full sweep — the JSON artifact the CI scale job
-// uploads and gates on.
+// uploads, and the form of the committed BENCH_scale.json.
 type ScaleTable struct {
 	Procs  []int
 	Rounds int

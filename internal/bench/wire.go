@@ -10,8 +10,8 @@ package bench
 // deterministic sim transport the batched and unbatched finals images
 // are compared byte for byte.
 //
-// The shape of the result is part of the design, and munin-benchgate
-// -wire holds it in CI:
+// The shape of the result is part of the design, and wireViolations
+// (wire_test.go) holds it in tier-1 tests and CI:
 //
 //   - pipeline, both engines: strictly fewer transport sends. Every
 //     phase-2 worker's release flush and barrier arrival go to the
@@ -32,7 +32,7 @@ package bench
 // envelopes, so traffic from ADJACENT operations coalesces too. That is
 // exactly the mechanism the eager lock-heavy row needs — a release's
 // update fan-out and lock grant ride with the releaser's next acquire —
-// so the gate requires the windowed run to strictly reduce that row's
+// so wireViolations requires the windowed run to strictly reduce that row's
 // sends where plain batching could not.
 
 import (
@@ -109,10 +109,11 @@ type WireOpts struct {
 	// Transport selects the substrate ("sim" default; the image
 	// comparison runs only there).
 	Transport string
-	// DelayWindow is the hold applied to the windowed run, in the
-	// transport clock's nanoseconds (0 = 20µs of virtual time).
-	DelayWindow sim.Time
 }
+
+// wireDelayWindow is the hold applied to the windowed run, in the
+// transport clock's nanoseconds: 20µs of virtual time on sim.
+const wireDelayWindow sim.Time = 20000
 
 func (o WireOpts) withDefaults() WireOpts {
 	if o.Procs == 0 {
@@ -123,9 +124,6 @@ func (o WireOpts) withDefaults() WireOpts {
 	}
 	if o.Model == (model.CostModel{}) {
 		o.Model = model.Default()
-	}
-	if o.DelayWindow == 0 {
-		o.DelayWindow = 20000
 	}
 	return o
 }
@@ -186,7 +184,7 @@ func RunWire(o WireOpts) (WireTable, error) {
 				return WireTable{}, fmt.Errorf("bench: wire %s %v batched: %w", w.name, cons, err)
 			}
 			windowed, err := w.app.Run(context.Background(),
-				append(append([]munin.RunOption(nil), base...), munin.WithDelayWindow(o.DelayWindow))...)
+				append(append([]munin.RunOption(nil), base...), munin.WithDelayWindow(wireDelayWindow))...)
 			if err != nil {
 				return WireTable{}, fmt.Errorf("bench: wire %s %v windowed: %w", w.name, cons, err)
 			}
