@@ -11,12 +11,6 @@ package apps
 
 import (
 	"context"
-	// Imported for the compiler, not for a call: the element codec of
-	// munin's views (getElem, putElem) is generic, so it is compiled in
-	// this package, and its encoding/binary calls are inlined only when
-	// this package's build loads encoding/binary. Without the import,
-	// SOR's row reads and writes on sim take ~40% longer (Go 1.24).
-	_ "encoding/binary"
 	"hash/fnv"
 
 	"munin"

@@ -133,7 +133,9 @@ func (s *Stats) TotalBytes() int {
 type Network struct {
 	sim     *sim.Sim
 	cost    model.CostModel
-	inboxes []*sim.Mailbox
+	inboxes []*sim.Mailbox[Envelope]
+	// free holds delivery records whose message has been delivered.
+	free []*delivery
 
 	busFreeAt sim.Time
 	stats     Stats
@@ -170,7 +172,7 @@ func New(s *sim.Sim, cost model.CostModel, n int) *Network {
 		},
 	}
 	for i := 0; i < n; i++ {
-		nw.inboxes = append(nw.inboxes, s.NewMailbox(fmt.Sprintf("inbox[%d]", i)))
+		nw.inboxes = append(nw.inboxes, sim.NewMailboxOf[Envelope](s, fmt.Sprintf("inbox[%d]", i)))
 	}
 	return nw
 }
@@ -236,14 +238,43 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 		nw.pairLast[pair] = deliver
 	}
 
-	env := Envelope{Src: src, Dst: dst, Msg: decoded, Bytes: size, SentAt: now, DeliveredAt: deliver}
-	nw.sim.At(deliver, func() {
-		nw.stats.Delivered++
-		if nw.Trace != nil {
-			nw.Trace(env)
-		}
-		nw.inboxes[dst].Put(env)
-	})
+	d := nw.newDelivery()
+	d.env = Envelope{Src: src, Dst: dst, Msg: decoded, Bytes: size, SentAt: now, DeliveredAt: deliver}
+	nw.sim.At(deliver, d.fire)
+}
+
+// delivery is a message on the wire, scheduled to land in its
+// destination's inbox. Records are reused once delivered, and each one's
+// fire callback is built once, so a send schedules its delivery without
+// allocating.
+type delivery struct {
+	nw   *Network
+	env  Envelope
+	fire func()
+}
+
+func (nw *Network) newDelivery() *delivery {
+	if n := len(nw.free); n > 0 {
+		d := nw.free[n-1]
+		nw.free = nw.free[:n-1]
+		return d
+	}
+	d := &delivery{nw: nw}
+	d.fire = d.deliver
+	return d
+}
+
+// deliver puts the envelope into its destination's inbox and recycles
+// the record.
+func (d *delivery) deliver() {
+	nw, env := d.nw, d.env
+	d.env = Envelope{}
+	nw.free = append(nw.free, d)
+	nw.stats.Delivered++
+	if nw.Trace != nil {
+		nw.Trace(env)
+	}
+	nw.inboxes[env.Dst].Put(env)
 }
 
 // Broadcast sends msg from src to every other node as separate messages
@@ -259,7 +290,7 @@ func (nw *Network) Broadcast(p *sim.Proc, src int, msg wire.Message) {
 // Recv blocks p until a message arrives for node and charges the
 // receive-path CPU.
 func (nw *Network) Recv(p *sim.Proc, node int) Envelope {
-	env := nw.inboxes[node].Get(p).(Envelope)
+	env := nw.inboxes[node].Get(p)
 	p.Advance(nw.cost.MsgRecvCPU)
 	return env
 }
@@ -267,11 +298,7 @@ func (nw *Network) Recv(p *sim.Proc, node int) Envelope {
 // TryRecv returns a pending message for node without blocking or charging
 // CPU; used by dispatchers to drain before idling.
 func (nw *Network) TryRecv(node int) (Envelope, bool) {
-	v, ok := nw.inboxes[node].TryGet()
-	if !ok {
-		return Envelope{}, false
-	}
-	return v.(Envelope), true
+	return nw.inboxes[node].TryGet()
 }
 
 // TryRecvCharged is TryRecv with the receive-path CPU charged to p on

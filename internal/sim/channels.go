@@ -1,53 +1,86 @@
 package sim
 
-// Mailbox is an unbounded FIFO queue of messages between simulated
-// processes. Put may be called from process or event (scheduler) context;
-// Get blocks the calling process until a message is available.
-type Mailbox struct {
-	sim     *Sim
-	name    string
-	q       []any
-	waiters []*Proc
+// ring is a FIFO queue over a reused circular buffer: once it has grown
+// to its peak length, pushing and popping allocate nothing.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
 }
 
-// NewMailbox returns an empty mailbox. name appears in deadlock reports.
-func (s *Sim) NewMailbox(name string) *Mailbox {
-	return &Mailbox{sim: s, name: name}
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(2*len(r.buf), 4))
+		k := copy(grown, r.buf[r.head:])
+		copy(grown[k:], r.buf[:r.head])
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+}
+
+// pop removes the oldest element; the ring must not be empty.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v
+}
+
+// Mailbox is an unbounded FIFO queue of messages of type T between
+// simulated processes. Put may be called from process or event context;
+// Get blocks the calling process until a message is available. Messages
+// are held by value in a reused ring, so steady-state traffic through a
+// mailbox allocates nothing.
+type Mailbox[T any] struct {
+	sim     *Sim
+	name    string
+	q       ring[T]
+	waiters ring[*Proc]
+}
+
+// NewMailboxOf returns an empty mailbox of T. name appears in deadlock
+// reports.
+func NewMailboxOf[T any](s *Sim, name string) *Mailbox[T] {
+	return &Mailbox[T]{sim: s, name: name}
+}
+
+// NewMailbox returns an empty mailbox of arbitrary values; see
+// NewMailboxOf for a typed one.
+func (s *Sim) NewMailbox(name string) *Mailbox[any] {
+	return NewMailboxOf[any](s, name)
 }
 
 // Put appends v and wakes one waiting process, if any.
-func (m *Mailbox) Put(v any) {
-	m.q = append(m.q, v)
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w.wakeLater()
+func (m *Mailbox[T]) Put(v T) {
+	m.q.push(v)
+	if m.waiters.n > 0 {
+		m.waiters.pop().wakeLater()
 	}
 }
 
 // Get removes and returns the oldest message, blocking p until one exists.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.q) == 0 {
-		m.waiters = append(m.waiters, p)
-		p.park("mailbox " + m.name)
+func (m *Mailbox[T]) Get(p *Proc) T {
+	for m.q.n == 0 {
+		m.waiters.push(p)
+		p.park("mailbox", m.name)
 	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v
+	return m.q.pop()
 }
 
 // TryGet removes and returns the oldest message without blocking.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.q) == 0 {
-		return nil, false
+func (m *Mailbox[T]) TryGet() (T, bool) {
+	if m.q.n == 0 {
+		var zero T
+		return zero, false
 	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v, true
+	return m.q.pop(), true
 }
 
 // Len reports the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.q) }
+func (m *Mailbox[T]) Len() int { return m.q.n }
 
 // Future is a one-shot value that processes can wait on. It models a
 // pending RPC reply: the requester parks on Wait and the dispatcher
@@ -86,7 +119,7 @@ func (f *Future) Done() bool { return f.done }
 func (f *Future) Wait(p *Proc) any {
 	for !f.done {
 		f.waiters = append(f.waiters, p)
-		p.park("future " + f.name)
+		p.park("future", f.name)
 	}
 	return f.v
 }
@@ -107,7 +140,7 @@ func (s *Sim) NewCond(name string) *Cond {
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park("cond " + c.name)
+	p.park("cond", c.name)
 }
 
 // Broadcast wakes every process parked on the condition.
@@ -115,7 +148,8 @@ func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		w.wakeLater()
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Semaphore is a counting semaphore. Munin guards each object-directory
@@ -127,7 +161,7 @@ type Semaphore struct {
 	sim     *Sim
 	name    string
 	n       int
-	waiters []*Proc
+	waiters ring[*Proc]
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
@@ -138,8 +172,8 @@ func (s *Sim) NewSemaphore(name string, n int) *Semaphore {
 // Acquire takes a permit, blocking p until one is available.
 func (sem *Semaphore) Acquire(p *Proc) {
 	for sem.n == 0 {
-		sem.waiters = append(sem.waiters, p)
-		p.park("semaphore " + sem.name)
+		sem.waiters.push(p)
+		p.park("semaphore", sem.name)
 	}
 	sem.n--
 }
@@ -160,9 +194,7 @@ func (sem *Semaphore) TryAcquire() bool {
 // Release returns a permit and wakes one waiter, if any.
 func (sem *Semaphore) Release() {
 	sem.n++
-	if len(sem.waiters) > 0 {
-		w := sem.waiters[0]
-		sem.waiters = sem.waiters[1:]
-		w.wakeLater()
+	if sem.waiters.n > 0 {
+		sem.waiters.pop().wakeLater()
 	}
 }

@@ -27,11 +27,14 @@ const (
 // the process's own goroutine (i.e. from within the fn passed to Spawn),
 // except the read-only accessors Name, UserTime and SystemTime.
 type Proc struct {
-	sim         *Sim
-	name        string
-	wake        chan struct{}
-	state       procState
-	blockReason string
+	sim   *Sim
+	name  string
+	wake  chan struct{}
+	state procState
+	// parkKind and parkName describe why a blocked process is parked,
+	// e.g. ("mailbox", "inbox[3]"); they are joined only for a
+	// DeadlockError.
+	parkKind, parkName string
 
 	kind   TimeKind
 	user   Time
@@ -82,44 +85,57 @@ func (p *Proc) Advance(d Time) {
 	if d == 0 {
 		return
 	}
-	s := p.sim
-	s.At(s.now+d, func() { s.resume(p) })
-	p.park("advancing")
+	p.sim.wakeAt(p.sim.now+d, p)
+	p.park("advancing", "")
 }
 
 // Yield reschedules the process at the current time behind already-pending
 // events, letting same-instant work interleave deterministically.
 func (p *Proc) Yield() {
-	s := p.sim
-	s.After(0, func() { s.resume(p) })
-	p.park("yielding")
+	p.sim.wakeAt(p.sim.now, p)
+	p.park("yielding", "")
 }
 
-// park blocks the process until the scheduler resumes it. reason appears in
-// deadlock reports.
-func (p *Proc) park(reason string) {
+// park blocks the process until a wake-up event for it fires. The parking
+// goroutine runs the event loop itself: when the next wake-up is its own
+// it simply returns; otherwise it hands control straight to the process
+// woken (or, once the run is over, back to Run) and blocks. kind and name
+// appear in deadlock reports.
+func (p *Proc) park(kind, name string) {
 	s := p.sim
 	if s.current != p {
 		panic(fmt.Sprintf("sim: park called by %s which is not the running process", p.name))
 	}
-	p.state = procBlocked
-	p.blockReason = reason
-	s.yield <- struct{}{}
-	<-p.wake
 	if s.draining {
-		// Woken only to unwind: the run has ended (Stop, cancellation,
-		// failure or deadlock) and this process will never be resumed
-		// for real. The panic propagates to Spawn's recover.
+		// Parking while unwinding (a deferred call blocks): keep unwinding.
 		panic(drainSignal{})
 	}
+	p.state = procBlocked
+	p.parkKind, p.parkName = kind, name
+	s.current = nil
+	if next := s.next(); next != p {
+		s.switchTo(next)
+		<-p.wake
+		if s.draining {
+			// Woken only to unwind: the run has ended (Stop, cancellation,
+			// failure or deadlock) and this process will never be resumed
+			// for real. The panic propagates to Spawn's recover.
+			panic(drainSignal{})
+		}
+	}
+	s.current = p
 	p.state = procRunning
-	p.blockReason = ""
+}
+
+// blockReason formats the park reason for a deadlock report.
+func (p *Proc) blockReason() string {
+	if p.parkName == "" {
+		return p.parkKind
+	}
+	return p.parkKind + " " + p.parkName
 }
 
 // wakeLater schedules the process to be resumed at the current virtual time
-// (behind pending same-time events). It must be called from scheduler or
+// (behind pending same-time events). It must be called from event or
 // process context while p is parked or about to park.
-func (p *Proc) wakeLater() {
-	s := p.sim
-	s.After(0, func() { s.resume(p) })
-}
+func (p *Proc) wakeLater() { p.sim.wakeAt(p.sim.now, p) }

@@ -31,6 +31,22 @@ func elemSize[T Elem]() int {
 	return int(unsafe.Sizeof(z))
 }
 
+// nativeLittleEndian reports whether the host stores elements in the
+// element codec's byte order, so whole runs of elements move with one
+// copy.
+var nativeLittleEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
+
+// elemBytes views vals as raw bytes, in the host's byte order.
+func elemBytes[T Elem](vals []T) []byte {
+	if len(vals) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*elemSize[T]())
+}
+
 // putElem stores v's native bit pattern little-endian into b. The bit
 // pattern of every Elem member is well defined (two's complement, IEEE
 // 754), so the encoding is identical on every platform.
@@ -70,7 +86,8 @@ func reduceable[T Elem]() bool {
 
 // decodeInto fills out from the byte pieces of a faulted-in range. An
 // element never straddles pieces in practice (element offsets divide the
-// page size), but the carry path keeps the codec correct regardless.
+// page size), but the carry path keeps the codec correct regardless. On
+// little-endian hosts each piece's whole elements are one copy.
 func decodeInto[T Elem](pieces [][]byte, out []T) {
 	es := elemSize[T]()
 	var carry [maxElemSize]byte
@@ -88,6 +105,11 @@ func decodeInto[T Elem](pieces [][]byte, out []T) {
 			k++
 			nc = 0
 		}
+		if nativeLittleEndian {
+			n := copy(elemBytes(out[k:]), p[o:o+(len(p)-o)/es*es])
+			o += n
+			k += n / es
+		}
 		for ; o+es <= len(p) && k < len(out); o += es {
 			out[k] = getElem[T](p[o:])
 			k++
@@ -99,7 +121,7 @@ func decodeInto[T Elem](pieces [][]byte, out []T) {
 }
 
 // encodeFrom scatters vals into the byte pieces of a faulted-for-write
-// range, with the same carry handling as decodeInto.
+// range, with the same carry handling and bulk copy as decodeInto.
 func encodeFrom[T Elem](pieces [][]byte, vals []T) {
 	es := elemSize[T]()
 	var carry [maxElemSize]byte
@@ -115,6 +137,11 @@ func encodeFrom[T Elem](pieces [][]byte, vals []T) {
 			}
 			nc = 0
 		}
+		if nativeLittleEndian {
+			n := copy(p[o:o+(len(p)-o)/es*es], elemBytes(vals[k:]))
+			o += n
+			k += n / es
+		}
 		for ; o+es <= len(p) && k < len(vals); o += es {
 			putElem(p[o:], vals[k])
 			k++
@@ -127,10 +154,28 @@ func encodeFrom[T Elem](pieces [][]byte, vals []T) {
 	}
 }
 
+// encodeBytes converts elements to their encoded bytes. On
+// little-endian hosts the result aliases vals.
+func encodeBytes[T Elem](vals []T) []byte {
+	if nativeLittleEndian {
+		return elemBytes(vals)
+	}
+	es := elemSize[T]()
+	raw := make([]byte, len(vals)*es)
+	for i, v := range vals {
+		putElem(raw[i*es:], v)
+	}
+	return raw
+}
+
 // decodeBytes converts a snapshot's raw bytes to elements.
 func decodeBytes[T Elem](raw []byte) []T {
 	es := elemSize[T]()
 	out := make([]T, len(raw)/es)
+	if nativeLittleEndian {
+		copy(elemBytes(out), raw)
+		return out
+	}
 	for i := range out {
 		out[i] = getElem[T](raw[i*es:])
 	}
@@ -186,22 +231,18 @@ func (a *Array[T]) Init(vals ...T) {
 		panic(fmt.Sprintf("munin: %d initial values for %q, declared length %d",
 			len(vals), a.name, a.n))
 	}
-	es := elemSize[T]()
-	data := make([]byte, a.n*es)
-	for i, v := range vals {
-		putElem(data[i*es:], v)
-	}
-	a.p.setInit(a.base, a.n*es, a.name, data)
+	all := make([]T, a.n)
+	copy(all, vals)
+	a.p.setInit(a.base, a.n*elemSize[T](), a.name, encodeBytes(all))
 }
 
 // InitFunc fills every element from f.
 func (a *Array[T]) InitFunc(f func(i int) T) {
-	es := elemSize[T]()
-	data := make([]byte, a.n*es)
-	for i := 0; i < a.n; i++ {
-		putElem(data[i*es:], f(i))
+	all := make([]T, a.n)
+	for i := range all {
+		all[i] = f(i)
 	}
-	a.p.setInit(a.base, a.n*es, a.name, data)
+	a.p.setInit(a.base, a.n*elemSize[T](), a.name, encodeBytes(all))
 }
 
 // Get loads element i (replicating on demand).
