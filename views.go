@@ -160,25 +160,15 @@ func encodeBytes[T Elem](vals []T) []byte {
 	if nativeLittleEndian {
 		return elemBytes(vals)
 	}
-	es := elemSize[T]()
-	raw := make([]byte, len(vals)*es)
-	for i, v := range vals {
-		putElem(raw[i*es:], v)
-	}
+	raw := make([]byte, len(vals)*elemSize[T]())
+	encodeFrom([][]byte{raw}, vals)
 	return raw
 }
 
 // decodeBytes converts a snapshot's raw bytes to elements.
 func decodeBytes[T Elem](raw []byte) []T {
-	es := elemSize[T]()
-	out := make([]T, len(raw)/es)
-	if nativeLittleEndian {
-		copy(elemBytes(out), raw)
-		return out
-	}
-	for i := range out {
-		out[i] = getElem[T](raw[i*es:])
-	}
+	out := make([]T, len(raw)/elemSize[T]())
+	decodeInto([][]byte{raw}, out)
 	return out
 }
 
